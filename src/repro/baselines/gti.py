@@ -34,7 +34,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.model import ImputedPath
+from repro.core.model import ImputedPath, csr
 from repro.core.preprocess import haversine_m_col
 from repro.core.storage import parquet_bytes
 from repro.geo.geodesy import local_xy
@@ -146,14 +146,10 @@ class GTI:
             a = b = np.array([], dtype=np.int64)
         u = np.concatenate([a, b]).astype(np.int64)
         v = np.concatenate([b, a]).astype(np.int64)
-        w = np.hypot(self._x[u] - self._x[v], self._y[u] - self._y[v])
-        order = np.argsort(u, kind="stable")
-        u, v, w = u[order], v[order], w[order]
-        indptr = np.zeros(ids.size + 1, dtype=np.int64)
-        np.add.at(indptr, u + 1, 1)
-        self._indptr = np.cumsum(indptr)
+        self._indptr, order = csr(ids.size, u, v)
+        u, v = u[order], v[order]
         self._nbr = v
-        self._w = w
+        self._w = np.hypot(self._x[u] - self._x[v], self._y[u] - self._y[v])
 
     # -- inference ----------------------------------------------------------
     def _snap(self, lon: float, lat: float) -> int:

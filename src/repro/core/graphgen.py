@@ -23,8 +23,6 @@ exact ``count_distinct`` so results are engine-comparable in oracle tests.
 """
 from __future__ import annotations
 
-import networkx as nx
-import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
@@ -88,31 +86,3 @@ def aggregate(
     df = drop_small_trips(with_cells(trips_df, grid), min_cells=min_cells)
     return cell_stats(df, exact=exact), edge_stats(df, exact=exact)
 
-
-def build_graph(nodes_pdf: pd.DataFrame, edges_pdf: pd.DataFrame) -> nx.DiGraph:
-    """Assemble the weighted directed cell graph (paper: NetworkX).
-
-    Node attributes: median lon/lat (``mlon``/``mlat``), message count
-    (``cnt``), distinct vessels (``nves``). Edge attributes: ``transitions``
-    (the edge weight) and ``gdist`` (hex hop distance of the transition).
-    Edge endpoints not present in the node table (cells whose every message
-    was filtered) are added with no attributes by NetworkX; callers use the
-    node table as the authoritative attribute source.
-    """
-    g = nx.DiGraph()
-    for row in nodes_pdf.itertuples(index=False):
-        g.add_node(
-            int(row.cl),
-            mlon=float(row.mlon),
-            mlat=float(row.mlat),
-            cnt=int(row.cnt),
-            nves=int(row.nves),
-        )
-    for row in edges_pdf.itertuples(index=False):
-        g.add_edge(
-            int(row.lag_cl),
-            int(row.cl),
-            transitions=int(row.transitions),
-            gdist=int(row.gdist),
-        )
-    return g

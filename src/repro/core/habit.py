@@ -3,8 +3,9 @@
 ``Habit.fit`` runs the distributed §3.2 aggregation and assembles the model;
 ``impute`` answers one gap query (A* + inverse projection + RDP, with
 timestamps interpolated along the imputed path); ``impute_batch_spark``
-distributes a whole gap table over the cluster with the model broadcast to
-executors — the batch-inference path for the Spark deployment.
+distributes a whole gap table over the cluster with the model (its two
+tables and grid parameters) broadcast to executors — the batch-inference
+path for the Spark deployment.
 """
 from __future__ import annotations
 
@@ -14,12 +15,26 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.graphgen import aggregate, build_graph
+from repro.core.graphgen import aggregate
 from repro.core.model import HabitModel, ImputedPath
 from repro.core.simplify import simplify_path
 from repro.core.storage import storage_bytes
 from repro.geo.geodesy import haversine_m
 from repro.hexgrid.hex import HexGrid
+
+
+def interpolate_ts(
+    lon: np.ndarray, lat: np.ndarray, start_ts: pd.Timestamp, end_ts: pd.Timestamp
+) -> pd.DatetimeIndex:
+    """Timestamps of a path's vertices, from ``start_ts`` at the first to
+    ``end_ts`` at the last, spread in proportion to along-path (haversine)
+    distance; evenly when the path has zero length."""
+    seg = haversine_m(lon[:-1], lat[:-1], lon[1:], lat[1:])
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    frac = cum / cum[-1] if cum[-1] > 0 else np.linspace(0.0, 1.0, lon.size)
+    span = (end_ts - start_ts).total_seconds()
+    # millisecond precision: keeps Arrow's ns->us timestamp cast exact
+    return start_ts + pd.to_timedelta(np.round(frac * span, 3), unit="s")
 
 
 class Habit:
@@ -37,9 +52,7 @@ class Habit:
         """Aggregate preprocessed trips (Spark) and build the cell graph."""
         grid = HexGrid(self.res, lat0, lon0)
         nodes_df, edges_df = aggregate(trips_df, grid, exact=self.exact)
-        nodes_pdf = nodes_df.toPandas()
-        edges_pdf = edges_df.toPandas()
-        self.model = HabitModel(grid=grid, graph=build_graph(nodes_pdf, edges_pdf))
+        self.model = HabitModel(grid=grid, nodes=nodes_df.toPandas(), edges=edges_df.toPandas())
         return self
 
     # -- inference ----------------------------------------------------------
@@ -67,14 +80,8 @@ class Habit:
     ) -> pd.DataFrame:
         """Imputed points with timestamps distributed by along-path distance."""
         res = self.impute(start_lon, start_lat, end_lon, end_lat)
-        lon, lat = res.lon, res.lat
-        seg = haversine_m(lon[:-1], lat[:-1], lon[1:], lat[1:])
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        frac = cum / cum[-1] if cum[-1] > 0 else np.linspace(0.0, 1.0, lon.size)
-        span = (end_ts - start_ts).total_seconds()
-        # millisecond precision: keeps Arrow's ns->us timestamp cast exact
-        ts = start_ts + pd.to_timedelta(np.round(frac * span, 3), unit="s")
-        return pd.DataFrame({"lon": lon, "lat": lat, "ts": ts, "fallback": res.fallback})
+        ts = interpolate_ts(res.lon, res.lat, start_ts, end_ts)
+        return pd.DataFrame({"lon": res.lon, "lat": res.lat, "ts": ts, "fallback": res.fallback})
 
     def impute_batch_spark(self, spark: SparkSession, gaps_df: DataFrame) -> DataFrame:
         """Distribute imputation over a gap table (schema of
@@ -97,11 +104,7 @@ class Habit:
                         row.start_lon, row.start_lat, row.end_lon, row.end_lat, p=cfg["p"]
                     )
                     lon, lat = simplify_path(path.lon, path.lat, cfg["t"])
-                    seg = haversine_m(lon[:-1], lat[:-1], lon[1:], lat[1:])
-                    cum = np.concatenate([[0.0], np.cumsum(seg)])
-                    frac = cum / cum[-1] if cum[-1] > 0 else np.linspace(0, 1, lon.size)
-                    span = (row.end_ts - row.start_ts).total_seconds()
-                    ts = row.start_ts + pd.to_timedelta(np.round(frac * span, 3), unit="s")
+                    ts = interpolate_ts(lon, lat, row.start_ts, row.end_ts)
                     out.append(
                         pd.DataFrame(
                             {

@@ -1,7 +1,7 @@
 """Phase 3 — trajectory imputation (paper §3.3).
 
-A :class:`HabitModel` holds the cell graph plus its grid parameters and
-answers imputation queries:
+A :class:`HabitModel` holds the fitted node and edge tables plus their grid
+parameters and answers imputation queries:
 
 1. project gap endpoints to hex cells; if a cell is not a graph node,
    nearest-neighbor snap to the closest node (by projected distance to the
@@ -14,16 +14,52 @@ answers imputation queries:
    median position (the paper's information-loss mitigation, Figure 2);
 4. if the endpoints are not connected in the graph, fall back to the
    straight line (flagged in the result).
+
+The graph is held as arrays derived from the tables: a cell -> row index
+map, per-node positions and axial coordinates, and a CSR (compressed sparse
+row) adjacency over row indices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 
-import networkx as nx
 import numpy as np
+import pandas as pd
 
 from repro.geo.geodesy import haversine_m
-from repro.hexgrid.hex import HexGrid, grid_distance
+from repro.hexgrid.hex import HexGrid, unpack
+
+#: Columns and dtypes of a model's node table (one row per cell).
+NODE_COLUMNS = {"cl": "int64", "cnt": "int64", "nves": "int64", "mlon": "float64", "mlat": "float64"}
+#: Columns and dtypes of a model's edge table (one row per transition).
+EDGE_COLUMNS = {"lag_cl": "int64", "cl": "int64", "transitions": "int64", "gdist": "int64"}
+
+
+def csr(n: int, src, dst) -> tuple[np.ndarray, np.ndarray]:
+    """CSR layout of the directed edges ``src[i] -> dst[i]`` over nodes
+    ``0..n-1``: returns ``(indptr, order)``, where ``order`` sorts the edges
+    by source, stably (each node's successors keep their input order), and
+    the successors of node ``u`` are ``dst[order][indptr[u]:indptr[u + 1]]``.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if src.shape != dst.shape:
+        raise ValueError("src and dst differ in length")
+    if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+        raise ValueError(f"edge endpoint outside nodes 0..{n - 1}")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, np.argsort(src, kind="stable")
+
+
+def _table(df: pd.DataFrame, columns: dict[str, str]) -> pd.DataFrame:
+    """``df`` reduced to ``columns`` (name -> dtype), in that order; an empty
+    frame may lack the columns altogether."""
+    if len(df) == 0:
+        return pd.DataFrame({c: pd.Series(dtype=t) for c, t in columns.items()})
+    return df[list(columns)].astype(columns).reset_index(drop=True)
 
 
 @dataclass
@@ -35,54 +71,105 @@ class ImputedPath:
     fallback: bool  # True when the graph gave no path and SLI was used
 
 
-@dataclass
 class HabitModel:
-    """Fitted HABIT framework: hex grid + weighted cell-transition graph."""
+    """Fitted HABIT framework: hex grid + weighted cell-transition graph.
 
-    grid: HexGrid
-    graph: nx.DiGraph
-    _node_ids: np.ndarray = field(init=False, repr=False)
-    _node_x: np.ndarray = field(init=False, repr=False)
-    _node_y: np.ndarray = field(init=False, repr=False)
-    _max_span: int = field(init=False, repr=False)
+    ``nodes`` has the :data:`NODE_COLUMNS`, one row per cell; ``edges`` has
+    the :data:`EDGE_COLUMNS`, one row per transition, and is held ordered by
+    source in node-table order (edge-table order within a source). Every
+    edge endpoint must be a node.
+    """
 
-    def __post_init__(self) -> None:
-        nodes = [n for n, d in self.graph.nodes(data=True) if "mlon" in d]
-        self._node_ids = np.asarray(nodes, dtype=np.int64)
-        mlon = np.asarray([self.graph.nodes[n]["mlon"] for n in nodes])
-        mlat = np.asarray([self.graph.nodes[n]["mlat"] for n in nodes])
-        self._node_x, self._node_y = self.grid.project(mlon, mlat)
-        spans = [d.get("gdist", 1) for _, _, d in self.graph.edges(data=True)]
-        self._max_span = max(1, max(spans, default=1))
+    def __init__(self, grid: HexGrid, nodes: pd.DataFrame, edges: pd.DataFrame):
+        self.grid = grid
+        self.nodes = _table(nodes, NODE_COLUMNS)
+        edges = _table(edges, EDGE_COLUMNS)
+        cells = self.nodes["cl"].to_numpy()
+        self._cells: list[int] = cells.tolist()
+        self._index = dict(zip(self._cells, range(cells.size)))
+        if len(self._index) != cells.size:
+            raise ValueError("node table repeats a cell")
+        ix = pd.Index(cells)
+        src = ix.get_indexer(edges["lag_cl"].to_numpy())
+        dst = ix.get_indexer(edges["cl"].to_numpy())
+        if (src < 0).any() or (dst < 0).any():
+            raise ValueError("edge endpoint missing from the node table")
+        indptr, order = csr(cells.size, src, dst)
+        self.edges = edges.take(order).reset_index(drop=True)
+        self._indptr: list[int] = indptr.tolist()
+        self._nbr: list[int] = dst[order].tolist()
+        self._mlon = self.nodes["mlon"].to_numpy()
+        self._mlat = self.nodes["mlat"].to_numpy()
+        self._x, self._y = grid.project(self._mlon, self._mlat)
+        _, q, r = unpack(cells)
+        self._q: list[int] = q.tolist()
+        self._r: list[int] = r.tolist()
+        self._max_span = max(1, int(edges["gdist"].max()) if len(edges) else 1)
+
+    def __reduce__(self):
+        # Pickle (broadcast) the tables only; the arrays are rebuilt on load.
+        return HabitModel, (self.grid, self.nodes, self.edges)
 
     # -- queries ------------------------------------------------------------
     def snap(self, lon: float, lat: float) -> int:
         """Graph node for a point: its own cell, else the nearest node."""
         cell = int(self.grid.to_cell(lon, lat))
-        if self.graph.has_node(cell) and "mlon" in self.graph.nodes[cell]:
+        if cell in self._index:
             return cell
-        if self._node_ids.size == 0:
+        if not self._cells:
             raise ValueError("empty model: no graph nodes")
         x, y = self.grid.project(lon, lat)
-        i = int(np.argmin((self._node_x - x) ** 2 + (self._node_y - y) ** 2))
-        return int(self._node_ids[i])
+        i = int(np.argmin((self._x - x) ** 2 + (self._y - y) ** 2))
+        return self._cells[i]
 
     def cell_path(self, s_node: int, e_node: int) -> list[int] | None:
         """Minimum-transition cell sequence from ``s_node`` to ``e_node``.
 
         A* with unit edge cost; heuristic = hex distance / max edge span
         (admissible: every transition covers at most ``max_span`` hops).
-        Returns None when no directed path exists.
+        Returns None when no directed path exists. Queue order, tie-breaks
+        and re-opening follow ``networkx.astar_path``, so both return the
+        same path.
         """
-        span = float(self._max_span)
-
-        def h(u: int, v: int) -> float:
-            return float(grid_distance(u, v)) / span
-
-        try:
-            return nx.astar_path(self.graph, s_node, e_node, heuristic=h, weight=lambda a, b, d: 1.0)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        s = self._index.get(s_node)
+        t = self._index.get(e_node)
+        if s is None or t is None:
             return None
+        indptr, nbr, q, r = self._indptr, self._nbr, self._q, self._r
+        span = float(self._max_span)
+        tq, tr = q[t], r[t]
+        c = count()
+        queue = [(0, next(c), s, 0, None)]
+        enqueued: dict[int, tuple[float, float]] = {}  # node -> (cost, heuristic)
+        explored: dict[int, int | None] = {}  # node -> parent
+        while queue:
+            _, __, cur, dist, parent = heappop(queue)
+            if cur == t:
+                path = [cur]
+                node = parent
+                while node is not None:
+                    path.append(node)
+                    node = explored[node]
+                return [self._cells[i] for i in reversed(path)]
+            if cur in explored:
+                if explored[cur] is None:  # the source: never re-parented
+                    continue
+                if enqueued[cur][0] < dist:  # stale entry: a cheaper one exists
+                    continue
+            explored[cur] = parent
+            ncost = dist + 1.0
+            for v in nbr[indptr[cur]:indptr[cur + 1]]:
+                if v in enqueued:
+                    qcost, h = enqueued[v]
+                    if qcost <= ncost:
+                        continue
+                else:
+                    dq = q[v] - tq
+                    dr = r[v] - tr
+                    h = ((abs(dq) + abs(dr) + abs(dq + dr)) // 2) / span
+                enqueued[v] = ncost, h
+                heappush(queue, (ncost + h, next(c), v, ncost, cur))
+        return None
 
     def project_cells(self, cells: list[int], p: str = "w") -> tuple[np.ndarray, np.ndarray]:
         """Inverse projection of a cell sequence to lon/lat (§3.3, Fig. 2)."""
@@ -90,10 +177,8 @@ class HabitModel:
             return self.grid.cell_center(np.asarray(cells, dtype=np.int64))
         if p != "w":
             raise ValueError(f"unknown projection option {p!r} (use 'c' or 'w')")
-        nd = self.graph.nodes
-        lon = np.asarray([nd[c]["mlon"] for c in cells])
-        lat = np.asarray([nd[c]["mlat"] for c in cells])
-        return lon, lat
+        idx = [self._index[c] for c in cells]
+        return self._mlon[idx], self._mlat[idx]
 
     def impute(
         self,
@@ -134,8 +219,8 @@ class HabitModel:
     # -- introspection ------------------------------------------------------
     @property
     def n_nodes(self) -> int:
-        return int(self._node_ids.size)
+        return len(self._cells)
 
     @property
     def n_edges(self) -> int:
-        return self.graph.number_of_edges()
+        return len(self.edges)

@@ -11,30 +11,15 @@ import io
 import json
 from pathlib import Path
 
-import networkx as nx
 import pandas as pd
 
-from repro.core.graphgen import build_graph
 from repro.core.model import HabitModel
 from repro.hexgrid.hex import HexGrid
 
 
 def graph_tables(model: HabitModel) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Node/edge tables of a fitted model (inverse of ``build_graph``)."""
-    nodes = pd.DataFrame(
-        [
-            {"cl": n, "cnt": d["cnt"], "nves": d["nves"], "mlon": d["mlon"], "mlat": d["mlat"]}
-            for n, d in model.graph.nodes(data=True)
-            if "mlon" in d
-        ]
-    )
-    edges = pd.DataFrame(
-        [
-            {"lag_cl": u, "cl": v, "transitions": d["transitions"], "gdist": d["gdist"]}
-            for u, v, d in model.graph.edges(data=True)
-        ]
-    )
-    return nodes, edges
+    """Node/edge tables of a fitted model (copies of the ones it holds)."""
+    return model.nodes.copy(), model.edges.copy()
 
 
 def parquet_bytes(pdf: pd.DataFrame) -> int:
@@ -46,17 +31,15 @@ def parquet_bytes(pdf: pd.DataFrame) -> int:
 
 def storage_bytes(model: HabitModel) -> int:
     """Total persisted size of the model in bytes (Table 2 metric)."""
-    nodes, edges = graph_tables(model)
-    return parquet_bytes(nodes) + parquet_bytes(edges)
+    return parquet_bytes(model.nodes) + parquet_bytes(model.edges)
 
 
 def save(model: HabitModel, path: str | Path) -> None:
     """Persist a model to ``path`` (nodes.parquet, edges.parquet, grid.json)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    nodes, edges = graph_tables(model)
-    nodes.to_parquet(path / "nodes.parquet", index=False)
-    edges.to_parquet(path / "edges.parquet", index=False)
+    model.nodes.to_parquet(path / "nodes.parquet", index=False)
+    model.edges.to_parquet(path / "edges.parquet", index=False)
     grid = model.grid
     (path / "grid.json").write_text(
         json.dumps({"res": grid.res, "lat0": grid.lat0, "lon0": grid.lon0})
@@ -69,5 +52,4 @@ def load(path: str | Path) -> HabitModel:
     nodes = pd.read_parquet(path / "nodes.parquet")
     edges = pd.read_parquet(path / "edges.parquet")
     meta = json.loads((path / "grid.json").read_text())
-    graph = build_graph(nodes, edges) if len(nodes) else nx.DiGraph()
-    return HabitModel(grid=HexGrid(**meta), graph=graph)
+    return HabitModel(grid=HexGrid(**meta), nodes=nodes, edges=edges)

@@ -11,14 +11,15 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.ais.datasets import REGION_OF, to_spark
+from repro.core import storage
 from repro.core.graphgen import (
     aggregate,
-    build_graph,
     cell_stats,
     drop_small_trips,
     edge_stats,
     with_cells,
 )
+from repro.core.model import EDGE_COLUMNS, NODE_COLUMNS, HabitModel
 from repro.hexgrid.hex import HexGrid, grid_distance
 from repro.oracle import assert_equivalent
 
@@ -130,18 +131,20 @@ def test_approx_distinct_close_to_exact(spark, kiel_cells):
 
 # --- graph construction -----------------------------------------------------
 
-def test_build_graph_roundtrip(spark, kiel_cells):
-    _, df, _ = kiel_cells
+def test_model_tables_roundtrip(spark, kiel_cells):
+    """A model built from the collected tables gives them back: same rows
+    and typed columns (int64 cell ids stay exact), edges grouped by source
+    in node-table order, edge-table order within a source."""
+    grid, df, _ = kiel_cells
     nodes_df, edges_df = cell_stats(df, exact=True), edge_stats(df, exact=True)
     nodes, edges = nodes_df.toPandas(), edges_df.toPandas()
-    g = build_graph(nodes, edges)
-    assert g.number_of_edges() == len(edges)
-    # every node attribute round-trips (read from typed columns: a row
-    # Series would coerce int64 cell ids to float64 and lose precision)
-    cl0 = int(nodes["cl"].iloc[0])
-    d = g.nodes[cl0]
-    assert d["cnt"] == int(nodes["cnt"].iloc[0])
-    assert d["mlon"] == pytest.approx(float(nodes["mlon"].iloc[0]))
+    model = HabitModel(grid=grid, nodes=nodes, edges=edges)
+    assert (model.n_nodes, model.n_edges) == (len(nodes), len(edges))
+    got_n, got_e = storage.graph_tables(model)
+    pd.testing.assert_frame_equal(got_n, nodes[list(NODE_COLUMNS)].astype(NODE_COLUMNS))
+    src = pd.Index(nodes["cl"]).get_indexer(edges["lag_cl"])
+    want_e = edges.iloc[np.argsort(src, kind="stable")][list(EDGE_COLUMNS)]
+    pd.testing.assert_frame_equal(got_e, want_e.astype(EDGE_COLUMNS).reset_index(drop=True))
 
 
 def test_graph_edges_exclude_self_loops(spark, kiel_cells):

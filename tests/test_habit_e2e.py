@@ -85,7 +85,7 @@ def test_storage_save_load_roundtrip(tmp_path, habit9, kiel_gaps):
     loaded = storage.load(tmp_path / "m")
     assert loaded.grid == habit9.model.grid
     assert loaded.n_nodes == habit9.model.n_nodes
-    assert loaded.graph.number_of_edges() == habit9.model.graph.number_of_edges()
+    assert loaded.n_edges == habit9.model.n_edges
     g = kiel_gaps[0]
     a = habit9.model.impute(g.start_lon, g.start_lat, g.end_lon, g.end_lat)
     b = loaded.impute(g.start_lon, g.start_lat, g.end_lon, g.end_lat)

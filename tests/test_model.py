@@ -1,25 +1,54 @@
 """Unit tests for HabitModel (A* imputation, snapping, inverse projection)
-on small hand-built graphs."""
+on small hand-built node/edge tables, with NetworkX as the search oracle."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
+import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.model import HabitModel
+import repro
+from repro.core import storage
+from repro.core.model import HabitModel, csr
 from repro.hexgrid.hex import HexGrid, grid_distance
 
 GRID = HexGrid(8, 56.0, 11.5)
 
 
-def _chain_graph(lons, lats, weights=None):
-    """Directed chain of cells following given coordinates."""
+def _node_table(cells, lons, lats) -> pd.DataFrame:
+    return pd.DataFrame(
+        {"cl": np.asarray(cells, dtype=np.int64), "cnt": 10, "nves": 2,
+         "mlon": np.asarray(lons, dtype=float), "mlat": np.asarray(lats, dtype=float)}
+    )
+
+
+def _edge_table(src, dst, weights=None) -> pd.DataFrame:
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    return pd.DataFrame(
+        {"lag_cl": src, "cl": dst, "transitions": 1 if weights is None else weights,
+         "gdist": grid_distance(src, dst)}
+    )
+
+
+def _chain_tables(lons, lats, weights=None):
+    """Node and edge tables of a directed chain of cells following given
+    coordinates."""
     cells = [int(GRID.to_cell(lo, la)) for lo, la in zip(lons, lats)]
+    return cells, _node_table(cells, lons, lats), _edge_table(cells[:-1], cells[1:], weights)
+
+
+def _digraph(nodes: pd.DataFrame, edges: pd.DataFrame) -> nx.DiGraph:
+    """Reference NetworkX graph with the tables' node and successor order."""
     g = nx.DiGraph()
-    for c, lo, la in zip(cells, lons, lats):
-        g.add_node(c, mlon=float(lo), mlat=float(la), cnt=10, nves=2)
-    for i, (a, b) in enumerate(zip(cells[:-1], cells[1:])):
-        w = 1 if weights is None else weights[i]
-        g.add_edge(a, b, transitions=w, gdist=int(grid_distance(a, b)))
-    return cells, g
+    g.add_nodes_from(nodes["cl"].tolist())
+    g.add_edges_from(zip(edges["lag_cl"].tolist(), edges["cl"].tolist()))
+    return g
 
 
 LONS = np.round(np.linspace(10.0, 10.5, 12), 4)
@@ -28,8 +57,8 @@ LATS = np.round(55.0 + 0.05 * np.sin(np.linspace(0, 3, 12)), 4)
 
 @pytest.fixture()
 def chain_model():
-    cells, g = _chain_graph(LONS, LATS)
-    return cells, HabitModel(grid=GRID, graph=g)
+    cells, nodes, edges = _chain_tables(LONS, LATS)
+    return cells, HabitModel(grid=GRID, nodes=nodes, edges=edges)
 
 
 # --- snapping ---------------------------------------------------------------
@@ -53,7 +82,7 @@ def test_snap_outside_returns_nearest(chain_model):
 
 
 def test_snap_empty_model_raises():
-    model = HabitModel(grid=GRID, graph=nx.DiGraph())
+    model = HabitModel(grid=GRID, nodes=pd.DataFrame(), edges=pd.DataFrame())
     with pytest.raises(ValueError):
         model.snap(10.0, 55.0)
 
@@ -79,7 +108,7 @@ def test_cell_path_respects_direction(chain_model):
 
 def test_cell_path_matches_networkx_shortest(chain_model):
     cells, model = chain_model
-    expect = nx.shortest_path(model.graph, cells[0], cells[-1])
+    expect = nx.shortest_path(_digraph(model.nodes, model.edges), cells[0], cells[-1])
     assert model.cell_path(cells[0], cells[-1]) == expect
 
 
@@ -87,17 +116,15 @@ def test_cell_path_minimizes_transitions():
     """A* must take the fewer-hop branch, matching the paper's objective."""
     lons_a = [10.0, 10.1, 10.2, 10.3]
     lats_a = [55.0, 55.0, 55.0, 55.0]
-    cells_a, g = _chain_graph(lons_a, lats_a)
+    cells_a, nodes, edges = _chain_tables(lons_a, lats_a)
     # add a longer detour between the same endpoints
     detour_lons = [10.0, 10.05, 10.1, 10.15, 10.2, 10.25, 10.3]
     detour_lats = [55.0, 55.08, 55.1, 55.12, 55.1, 55.08, 55.0]
-    for lo, la in zip(detour_lons[1:-1], detour_lats[1:-1]):
-        g.add_node(int(GRID.to_cell(lo, la)), mlon=lo, mlat=la, cnt=1, nves=1)
     dcells = [int(GRID.to_cell(lo, la)) for lo, la in zip(detour_lons, detour_lats)]
-    for a, b in zip(dcells[:-1], dcells[1:]):
-        if a != b:
-            g.add_edge(a, b, transitions=1, gdist=int(grid_distance(a, b)))
-    model = HabitModel(grid=GRID, graph=g)
+    nodes = pd.concat([nodes, _node_table(dcells[1:-1], detour_lons[1:-1], detour_lats[1:-1])])
+    hops = [(a, b) for a, b in zip(dcells[:-1], dcells[1:]) if a != b]
+    edges = pd.concat([edges, _edge_table(*zip(*hops))])
+    model = HabitModel(grid=GRID, nodes=nodes, edges=edges)
     path = model.cell_path(cells_a[0], cells_a[-1])
     assert path == cells_a  # 3 hops beats the ~6-hop detour
 
@@ -166,3 +193,102 @@ def test_properties(chain_model):
     cells, model = chain_model
     assert model.n_nodes == len(cells)
     assert model.n_edges == len(cells) - 1
+
+
+# --- search identity with NetworkX (property) --------------------------------
+
+#: Real cells of the grid: a hex disc of radius 3 (37 cells), so random edges
+#: span 1 to 6 hex hops and the heuristic's max-span scaling varies, while
+#: enough nodes tie on f = g + h for the successor order to matter.
+RING = GRID.k_ring(int(GRID.to_cell(11.5, 56.0)), 3)
+
+
+@st.composite
+def _random_tables(draw):
+    """Node/edge tables of a random digraph over real hex cells: possibly
+    empty, possibly disconnected, with mixed transition spans."""
+    cells = draw(st.lists(st.sampled_from(RING), unique=True, max_size=12))
+    hops = []
+    if cells:
+        pair = st.tuples(st.sampled_from(cells), st.sampled_from(cells))
+        hops = draw(st.lists(pair, unique=True, max_size=40))
+    lon, lat = GRID.cell_center(np.asarray(cells, dtype=np.int64))
+    src, dst = zip(*hops) if hops else ((), ())
+    return _node_table(cells, lon, lat), _edge_table(src, dst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_tables())
+def test_cell_path_equals_networkx_astar(tables):
+    """Same path as ``nx.astar_path`` with the hex heuristic, None exactly
+    when NetworkX finds no path, and a shortest path."""
+    nodes, edges = tables
+    model = HabitModel(grid=GRID, nodes=nodes, edges=edges)
+    g = _digraph(nodes, edges)
+    span = max(1, int(edges["gdist"].max()) if len(edges) else 1)
+
+    def h(u, v):
+        return float(grid_distance(u, v)) / span
+
+    cells = nodes["cl"].tolist()
+    if not cells:
+        assert model.cell_path(RING[0], RING[1]) is None
+    for s in cells:
+        for t in cells:
+            try:
+                want = nx.astar_path(g, s, t, heuristic=h, weight=lambda a, b, d: 1.0)
+            except nx.NetworkXNoPath:
+                want = None
+            got = model.cell_path(s, t)
+            assert got == want
+            if got is not None:
+                assert len(got) - 1 == nx.shortest_path_length(g, s, t)
+
+
+# --- tables and degenerate inputs ---------------------------------------------
+
+def test_csr_keeps_successor_order():
+    indptr, order = csr(3, [2, 0, 2, 0], [0, 2, 1, 1])
+    assert indptr.tolist() == [0, 2, 2, 4]
+    assert order.tolist() == [1, 3, 0, 2]
+    with pytest.raises(ValueError):
+        csr(2, [0], [2])
+
+
+def test_edges_held_in_source_order():
+    """Edges are kept grouped by source in node-table order, edge-table
+    order within a source."""
+    cells, nodes, edges = _chain_tables(LONS, LATS)
+    shuffled = edges.iloc[::-1]
+    model = HabitModel(grid=GRID, nodes=nodes, edges=shuffled)
+    pd.testing.assert_frame_equal(storage.graph_tables(model)[1], edges)
+
+
+def test_edge_endpoint_missing_from_nodes_raises():
+    cells, nodes, edges = _chain_tables(LONS, LATS)
+    with pytest.raises(ValueError, match="missing from the node table"):
+        HabitModel(grid=GRID, nodes=nodes.iloc[1:], edges=edges)
+
+
+def test_empty_model_save_load(tmp_path):
+    storage.save(HabitModel(grid=GRID, nodes=pd.DataFrame(), edges=pd.DataFrame()), tmp_path)
+    model = storage.load(tmp_path)
+    assert (model.grid, model.n_nodes, model.n_edges) == (GRID, 0, 0)
+    with pytest.raises(ValueError):
+        model.snap(10.0, 55.0)
+
+
+def test_core_runtime_does_not_import_networkx():
+    """NetworkX is a test oracle only: the fitted model and its storage
+    run without it."""
+    code = (
+        "import sys, repro.core.habit, repro.core.storage; "
+        "print('networkx' in sys.modules)"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"
