@@ -4,16 +4,26 @@ Each job builds its own SparkSession (mirroring conftest's configuration),
 runs one table harness at bench scale (sf=1.0 unless overridden via
 ``REPRO_SF``), prints the table, and exits.
 
-``spark.driver.memory`` is read at JVM launch, not from SparkConf, so it is
-injected via ``PYSPARK_SUBMIT_ARGS`` *before* pyspark is imported — exactly
-as the test conftest does.
+Everything below runs *before* pyspark is imported, because the JVM reads
+its settings at launch and Spark's Python workers inherit its environment:
+
+- ``src/`` goes on ``sys.path`` and on ``PYTHONPATH``, so ``repro`` imports
+  in the driver and in the workers without an installed package, and
+  ``PYSPARK_PYTHON`` defaults to this interpreter;
+- ``spark.driver.memory`` is injected via ``PYSPARK_SUBMIT_ARGS`` — exactly
+  as the test conftest does.
 """
 from __future__ import annotations
 
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p
+)
+os.environ.setdefault("PYSPARK_PYTHON", sys.executable)
 
 os.environ.setdefault("SPARK_DRIVER_MEM", "8g")
 os.environ.setdefault(

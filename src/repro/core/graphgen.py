@@ -23,28 +23,58 @@ exact ``count_distinct`` so results are engine-comparable in oracle tests.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.hexgrid.hex import HexGrid
-from repro.hexgrid.udfs import grid_distance_udf, to_cell_udf
+from repro.hexgrid.hex import QR_BIAS, QR_MASK, HexGrid
+
+
+def cell_col(grid: HexGrid, lon: Column, lat: Column) -> Column:
+    """:meth:`HexGrid.to_cell` as a native Catalyst expression: the same
+    constants and the same double operations in the same order, ``rint``
+    for rounding (half to even, as ``np.round``), so ids are identical."""
+    kx, ky, c, a = grid.axial_consts
+    x = (lon - F.lit(grid.lon0)) * F.lit(kx)
+    y = (lat - F.lit(grid.lat0)) * F.lit(ky)
+    qf = (F.lit(c) * x - y / F.lit(3.0)) / F.lit(a)
+    rf = (F.lit(2.0 / 3.0) * y) / F.lit(a)
+    sf = -qf - rf
+    q, r, s = F.rint(qf), F.rint(rf), F.rint(sf)
+    dq, dr, ds = F.abs(q - qf), F.abs(r - rf), F.abs(s - sf)
+    fix_q = (dq > dr) & (dq > ds)
+    fix_r = ~fix_q & (dr > ds)
+    qi = F.when(fix_q, -r - s).otherwise(q).cast("long")
+    ri = F.when(fix_r, -q - s).otherwise(r).cast("long")
+    cell = (
+        F.lit(grid.res << 58)
+        .bitwiseOR(F.shiftleft(qi + F.lit(QR_BIAS), 29))
+        .bitwiseOR(ri + F.lit(QR_BIAS))
+    )
+    out_of_range = (F.abs(qi) >= F.lit(QR_BIAS)) | (F.abs(ri) >= F.lit(QR_BIAS))
+    error = F.raise_error(F.lit("axial coordinate out of packable range"))
+    return F.when(out_of_range, error).otherwise(cell)
+
+
+def grid_distance_col(a: Column, b: Column) -> Column:
+    """Hex hop distance between two cell-id columns (same resolution), as
+    :func:`repro.hexgrid.hex.grid_distance` computes it."""
+    mask = F.lit(QR_MASK)
+    dq = F.shiftright(a, 29).bitwiseAND(mask) - F.shiftright(b, 29).bitwiseAND(mask)
+    dr = a.bitwiseAND(mask) - b.bitwiseAND(mask)
+    return F.shiftright(F.abs(dq) + F.abs(dr) + F.abs(dq + dr), 1)
 
 
 def with_cells(df: DataFrame, grid: HexGrid) -> DataFrame:
     """Assign ``cl`` and per-trip predecessor ``lag_cl`` to each message."""
-    cell = to_cell_udf(grid.res, grid.lat0, grid.lon0)
-    df = df.withColumn("cl", cell(F.col("lon"), F.col("lat")))
+    df = df.withColumn("cl", cell_col(grid, F.col("lon"), F.col("lat")))
     w = Window.partitionBy("trip_id").orderBy("ts")
     return df.withColumn("lag_cl", F.lag("cl").over(w))
 
 
 def drop_small_trips(df: DataFrame, *, min_cells: int = 3) -> DataFrame:
     """Drop trips spanning fewer than ``min_cells`` distinct cells."""
-    span = df.groupBy("trip_id").agg(F.count_distinct("cl").alias("_ncells"))
-    return (
-        df.join(span.filter(F.col("_ncells") >= min_cells), "trip_id", "inner")
-        .drop("_ncells")
-    )
+    ncells = F.size(F.collect_set("cl").over(Window.partitionBy("trip_id")))
+    return df.withColumn("_ncells", ncells).filter(F.col("_ncells") >= min_cells).drop("_ncells")
 
 
 def cell_stats(df: DataFrame, *, exact: bool = False) -> DataFrame:
@@ -72,7 +102,7 @@ def edge_stats(df: DataFrame, *, exact: bool = False) -> DataFrame:
         .groupBy("lag_cl", "cl")
         .agg(ntrips.alias("transitions"))
     )
-    return edges.withColumn("gdist", grid_distance_udf()(F.col("lag_cl"), F.col("cl")))
+    return edges.withColumn("gdist", grid_distance_col(F.col("lag_cl"), F.col("cl")))
 
 
 def aggregate(

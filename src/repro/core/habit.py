@@ -98,28 +98,29 @@ class Habit:
             cfg = bc.value
             model: HabitModel = cfg["model"]
             for pdf in batches:
-                out = []
+                ids, lons, lats, tss = [], [], [], []
                 for row in pdf.itertuples(index=False):
                     path = model.impute(
                         row.start_lon, row.start_lat, row.end_lon, row.end_lat, p=cfg["p"]
                     )
                     lon, lat = simplify_path(path.lon, path.lat, cfg["t"])
-                    ts = interpolate_ts(lon, lat, row.start_ts, row.end_ts)
-                    out.append(
-                        pd.DataFrame(
-                            {
-                                "gap_id": row.gap_id,
-                                "seq": np.arange(lon.size, dtype=np.int64),
-                                "lon": lon,
-                                "lat": lat,
-                                "ts": ts,
-                            }
-                        )
-                    )
-                yield pd.concat(out, ignore_index=True) if out else pd.DataFrame(
-                    {"gap_id": pd.Series(dtype="str"), "seq": pd.Series(dtype="int64"),
-                     "lon": pd.Series(dtype="float64"), "lat": pd.Series(dtype="float64"),
-                     "ts": pd.Series(dtype="datetime64[ns]")}
+                    ids.append(row.gap_id)
+                    lons.append(lon)
+                    lats.append(lat)
+                    tss.append(interpolate_ts(lon, lat, row.start_ts, row.end_ts))
+                if not ids:
+                    continue
+                # one frame per batch: each gap's points, seq 0.. within it
+                sizes = np.fromiter(map(len, lons), dtype=np.int64, count=len(lons))
+                first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+                yield pd.DataFrame(
+                    {
+                        "gap_id": np.repeat(np.array(ids, dtype=object), sizes),
+                        "seq": np.arange(first.size, dtype=np.int64) - first,
+                        "lon": np.concatenate(lons),
+                        "lat": np.concatenate(lats),
+                        "ts": tss[0].append(tss[1:]),
+                    }
                 )
 
         schema = "gap_id string, seq long, lon double, lat double, ts timestamp"

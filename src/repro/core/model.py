@@ -16,14 +16,14 @@ parameters and answers imputation queries:
    straight line (flagged in the result).
 
 The graph is held as arrays derived from the tables: a cell -> row index
-map, per-node positions and axial coordinates, and a CSR (compressed sparse
-row) adjacency over row indices.
+map, per-node positions and axial coordinates, and each row's successor
+rows (laid out through a CSR, compressed sparse row, adjacency). Queries
+run on plain Python numbers, one point or one path at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import count
 
 import numpy as np
 import pandas as pd
@@ -96,8 +96,12 @@ class HabitModel:
             raise ValueError("edge endpoint missing from the node table")
         indptr, order = csr(cells.size, src, dst)
         self.edges = edges.take(order).reset_index(drop=True)
-        self._indptr: list[int] = indptr.tolist()
-        self._nbr: list[int] = dst[order].tolist()
+        bounds = indptr.tolist()
+        nbr = dst[order].tolist()
+        # successors of each row, in held edge order
+        self._succ: list[tuple[int, ...]] = [
+            tuple(nbr[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
+        ]
         self._mlon = self.nodes["mlon"].to_numpy()
         self._mlat = self.nodes["mlat"].to_numpy()
         self._x, self._y = grid.project(self._mlon, self._mlat)
@@ -112,13 +116,15 @@ class HabitModel:
 
     # -- queries ------------------------------------------------------------
     def snap(self, lon: float, lat: float) -> int:
-        """Graph node for a point: its own cell, else the nearest node."""
-        cell = int(self.grid.to_cell(lon, lat))
+        """Graph node for a point: its own cell, else the nearest node.
+
+        Raises ``ValueError`` for a non-finite coordinate or an empty model.
+        """
+        cell, x, y = self.grid.locate(lon, lat)
         if cell in self._index:
             return cell
         if not self._cells:
             raise ValueError("empty model: no graph nodes")
-        x, y = self.grid.project(lon, lat)
         i = int(np.argmin((self._x - x) ** 2 + (self._y - y) ** 2))
         return self._cells[i]
 
@@ -135,13 +141,18 @@ class HabitModel:
         t = self._index.get(e_node)
         if s is None or t is None:
             return None
-        indptr, nbr, q, r = self._indptr, self._nbr, self._q, self._r
+        succ, q, r = self._succ, self._q, self._r
         span = float(self._max_span)
         tq, tr = q[t], r[t]
-        c = count()
-        queue = [(0, next(c), s, 0, None)]
-        enqueued: dict[int, tuple[float, float]] = {}  # node -> (cost, heuristic)
-        explored: dict[int, int | None] = {}  # node -> parent
+        # Per-row search state: the cost each row was last queued at (None:
+        # never), its heuristic, and its parent once expanded (-1: not yet;
+        # None: the source).
+        n = len(succ)
+        cost: list[float | None] = [None] * n
+        heur = [0.0] * n
+        parent_of: list[int | None] = [-1] * n
+        c = 0  # push counter: equal f values pop first-in first-out
+        queue = [(0, c, s, 0, None)]
         while queue:
             _, __, cur, dist, parent = heappop(queue)
             if cur == t:
@@ -149,26 +160,29 @@ class HabitModel:
                 node = parent
                 while node is not None:
                     path.append(node)
-                    node = explored[node]
+                    node = parent_of[node]
                 return [self._cells[i] for i in reversed(path)]
-            if cur in explored:
-                if explored[cur] is None:  # the source: never re-parented
+            seen = parent_of[cur]
+            if seen != -1:
+                if seen is None:  # the source: never re-parented
                     continue
-                if enqueued[cur][0] < dist:  # stale entry: a cheaper one exists
+                if cost[cur] < dist:  # stale entry: a cheaper one exists
                     continue
-            explored[cur] = parent
+            parent_of[cur] = parent
             ncost = dist + 1.0
-            for v in nbr[indptr[cur]:indptr[cur + 1]]:
-                if v in enqueued:
-                    qcost, h = enqueued[v]
-                    if qcost <= ncost:
-                        continue
-                else:
+            for v in succ[cur]:
+                queued = cost[v]
+                if queued is None:
                     dq = q[v] - tq
                     dr = r[v] - tr
-                    h = ((abs(dq) + abs(dr) + abs(dq + dr)) // 2) / span
-                enqueued[v] = ncost, h
-                heappush(queue, (ncost + h, next(c), v, ncost, cur))
+                    h = heur[v] = ((abs(dq) + abs(dr) + abs(dq + dr)) // 2) / span
+                elif queued <= ncost:
+                    continue
+                else:
+                    h = heur[v]
+                cost[v] = ncost
+                c += 1
+                heappush(queue, (ncost + h, c, v, ncost, cur))
         return None
 
     def project_cells(self, cells: list[int], p: str = "w") -> tuple[np.ndarray, np.ndarray]:
@@ -177,8 +191,8 @@ class HabitModel:
             return self.grid.cell_center(np.asarray(cells, dtype=np.int64))
         if p != "w":
             raise ValueError(f"unknown projection option {p!r} (use 'c' or 'w')")
-        idx = [self._index[c] for c in cells]
-        return self._mlon[idx], self._mlat[idx]
+        rows = np.fromiter(map(self._index.__getitem__, cells), dtype=np.intp, count=len(cells))
+        return self._mlon.take(rows), self._mlat.take(rows)
 
     def impute(
         self,

@@ -113,7 +113,9 @@ def segment_trips(
     moving = moving.withColumn(
         "trip_id", F.concat_ws("#", F.col("vessel_id"), F.col("_trip_seq"))
     )
-    counts = Window.partitionBy("trip_id")
+    # (vessel_id, _trip_seq) names the trip as trip_id does, and the rows
+    # are already partitioned by vessel_id: no new shuffle
+    counts = Window.partitionBy("vessel_id", "_trip_seq")
     moving = moving.withColumn("_n", F.count(F.lit(1)).over(counts))
     return moving.filter(F.col("_n") >= min_points).drop(
         "_stopped", "_stop_cum", "_new_trip", "_trip_seq", "_n"

@@ -13,31 +13,44 @@ from repro.geo.geodesy import local_xy
 
 
 def _rdp_mask(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
-    """Boolean keep-mask for planar RDP (iterative, stack-based)."""
-    n = x.size
-    keep = np.zeros(n, dtype=bool)
+    """Boolean keep-mask for planar RDP (iterative, stack-based).
+
+    Runs on plain Python floats: the same IEEE operations, in the same
+    order, as a vectorized evaluation of each segment's distances, and the
+    first maximum wins (as ``np.argmax`` picks it, a NaN included).
+    """
+    xs = x.tolist()
+    ys = y.tolist()
+    n = len(xs)
+    keep = [False] * n
     keep[0] = keep[-1] = True
+    tol2 = tol * tol
     stack = [(0, n - 1)]
     while stack:
         i, j = stack.pop()
         if j <= i + 1:
             continue
-        dx, dy = x[j] - x[i], y[j] - y[i]
+        xi, yi = xs[i], ys[i]
+        dx, dy = xs[j] - xi, ys[j] - yi
         seg_len2 = dx * dx + dy * dy
-        px = x[i + 1 : j] - x[i]
-        py = y[i + 1 : j] - y[i]
-        if seg_len2 == 0.0:
-            d2 = px * px + py * py
-        else:
-            cross = px * dy - py * dx
-            d2 = cross * cross / seg_len2
-        k = int(np.argmax(d2))
-        if d2[k] > tol * tol:
-            m = i + 1 + k
+        best, m = -1.0, i + 1
+        for k in range(i + 1, j):
+            px = xs[k] - xi
+            py = ys[k] - yi
+            if seg_len2 == 0.0:
+                d2 = px * px + py * py
+            else:
+                cross = px * dy - py * dx
+                d2 = cross * cross / seg_len2
+            if not d2 <= best:  # d2 > best, or d2 is NaN
+                best, m = d2, k
+                if d2 != d2:
+                    break
+        if best > tol2:
             keep[m] = True
             stack.append((i, m))
             stack.append((m, j))
-    return keep
+    return np.array(keep)
 
 
 def rdp(lon: np.ndarray, lat: np.ndarray, tolerance_m: float) -> tuple[np.ndarray, np.ndarray]:

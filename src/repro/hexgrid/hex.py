@@ -11,16 +11,20 @@ aggregation granularity, grid zig-zag artifacts, and storage scaling in ``r``
 that the evaluation measures are preserved (see DESIGN.md, substitutions).
 
 Cell ids are int64: ``(res << 58) | ((q + B) << 29) | (r + B)`` with
-``B = 2**28``, where ``(q, r)`` are axial coordinates relative to the grid's
+``B = QR_BIAS = 2**28``, where ``(q, r)`` are axial coordinates relative to the grid's
 projection origin. Ids are only comparable between grids with identical
 ``(res, lat0, lon0)`` — a :class:`HexGrid` is carried alongside any id set
 (models store their grid parameters).
 
-All coordinate functions are vectorized over numpy arrays.
+All coordinate functions are vectorized over numpy arrays, except
+:meth:`HexGrid.locate`, the scalar form of :meth:`HexGrid.to_cell` used by
+per-query code.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +43,8 @@ EDGE_M: dict[int, float] = {
 #: Mean Earth radius (meters), as used by H3 / haversine throughout the repo.
 R_EARTH = 6371008.8
 
-_B = 1 << 28  # axial coordinate bias for packing
-_QR_MASK = (1 << 29) - 1
+QR_BIAS = 1 << 28  # axial coordinate bias for packing
+QR_MASK = (1 << 29) - 1
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -49,17 +53,17 @@ def pack(res: int, q, r):
     """Pack resolution + axial (q, r) into an int64 cell id (vectorized)."""
     q = np.asarray(q, dtype=np.int64)
     r = np.asarray(r, dtype=np.int64)
-    if np.any((np.abs(q) >= _B) | (np.abs(r) >= _B)):
+    if np.any((np.abs(q) >= QR_BIAS) | (np.abs(r) >= QR_BIAS)):
         raise ValueError("axial coordinate out of packable range")
-    return (np.int64(res) << 58) | ((q + _B) << 29) | (r + _B)
+    return (np.int64(res) << 58) | ((q + QR_BIAS) << 29) | (r + QR_BIAS)
 
 
 def unpack(cell):
     """Unpack int64 cell id(s) into (res, q, r) arrays."""
     cell = np.asarray(cell, dtype=np.int64)
     res = (cell >> 58).astype(np.int64)
-    q = ((cell >> 29) & _QR_MASK) - _B
-    r = (cell & _QR_MASK) - _B
+    q = ((cell >> 29) & QR_MASK) - QR_BIAS
+    r = (cell & QR_MASK) - QR_BIAS
     return res, q, r
 
 
@@ -93,6 +97,23 @@ def _axial_round(qf: np.ndarray, rf: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return q.astype(np.int64), r.astype(np.int64)
 
 
+def _axial_round_scalar(qf: float, rf: float) -> tuple[int, int]:
+    """:func:`_axial_round` for one point, in plain Python numbers: ``round``
+    rounds half to even, as ``np.round`` does, so ties resolve the same."""
+    sf = -qf - rf
+    q = round(qf)
+    r = round(rf)
+    s = round(sf)
+    dq = abs(q - qf)
+    dr = abs(r - rf)
+    ds = abs(s - sf)
+    if dq > dr and dq > ds:
+        q = -r - s
+    elif dr > ds:
+        r = -q - s
+    return q, r
+
+
 #: Axial offsets of the 6 neighbors of any hexagon (pointy-top).
 NEIGHBOR_OFFSETS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
 
@@ -109,6 +130,10 @@ class HexGrid:
     res: int
     lat0: float
     lon0: float
+
+    def __reduce__(self):
+        # Pickle the parameters only: cached constants are rebuilt on use.
+        return HexGrid, (self.res, self.lat0, self.lon0)
 
     @property
     def edge_m(self) -> float:
@@ -135,6 +160,34 @@ class HexGrid:
         return lon, lat
 
     # -- cell ops -----------------------------------------------------------
+    @cached_property
+    def axial_consts(self) -> tuple[float, float, float, float]:
+        """(x scale, y scale, sqrt(3)/3, edge) as Python floats, computed
+        with the expressions :meth:`project` and :meth:`to_cell` use."""
+        kx = np.cos(np.radians(self.lat0)) * R_EARTH * np.pi / 180.0
+        ky = R_EARTH * np.pi / 180.0
+        return float(kx), float(ky), float(_SQRT3 / 3.0), float(self.edge_m)
+
+    def locate(self, lon: float, lat: float) -> tuple[int, float, float]:
+        """One point's ``(cell id, x, y)``: :meth:`to_cell` and
+        :meth:`project` for a scalar, in plain Python floats.
+
+        Performs the same IEEE operations in the same order as the
+        vectorized path, so the id and the projected point are identical.
+        Raises ``ValueError`` for a non-finite coordinate.
+        """
+        kx, ky, c, a = self.axial_consts
+        x = (float(lon) - self.lon0) * kx
+        y = (float(lat) - self.lat0) * ky
+        qf = (c * x - y / 3.0) / a
+        rf = (2.0 / 3.0 * y) / a
+        if not (math.isfinite(qf) and math.isfinite(rf)):
+            raise ValueError(f"non-finite coordinate: lon={lon!r}, lat={lat!r}")
+        q, r = _axial_round_scalar(qf, rf)
+        if abs(q) >= QR_BIAS or abs(r) >= QR_BIAS:
+            raise ValueError("axial coordinate out of packable range")
+        return (self.res << 58) | ((q + QR_BIAS) << 29) | (r + QR_BIAS), x, y
+
     def to_cell(self, lon, lat) -> np.ndarray:
         """Assign point(s) to their containing hexagon; returns int64 ids."""
         x, y = self.project(lon, lat)

@@ -14,6 +14,7 @@ from repro.ais.datasets import REGION_OF, to_spark
 from repro.core import storage
 from repro.core.graphgen import (
     aggregate,
+    cell_col,
     cell_stats,
     drop_small_trips,
     edge_stats,
@@ -36,7 +37,7 @@ def kiel_cells(spark, kiel_trips):
 # --- cell assignment --------------------------------------------------------
 
 def test_spark_cell_assignment_matches_driver(spark, kiel_trips):
-    """The pandas UDF must agree with driver-side HexGrid.to_cell."""
+    """The Spark cell expression must agree with driver-side HexGrid.to_cell."""
     grid = HexGrid(9, REGION_OF["KIEL"].lat0, REGION_OF["KIEL"].lon0)
     sample = kiel_trips.head(500)
     got = (
@@ -51,6 +52,47 @@ def test_spark_cell_assignment_matches_driver(spark, kiel_trips):
         sample.sort_values(["trip_id", "ts"])["lat"].to_numpy(),
     )
     assert (got == expect).all()
+
+
+def test_cell_col_matches_driver_near_rounding_ties(spark):
+    """The Catalyst cell expression rounds like ``HexGrid.to_cell`` on
+    points a few ulps from half-way axial coordinates, at r=4..11."""
+    rows = []
+    rng = np.random.default_rng(5)
+    for res in range(4, 12):
+        g = HexGrid(res, 56.0, 11.5)
+        a = g.edge_m
+        qf = rng.integers(-200, 200, 60) + rng.choice([0.5, 0.25, 1 / 3, 0.0], 60)
+        rf = rng.integers(-200, 200, 60) + rng.choice([0.5, 0.75, 2 / 3, 0.0], 60)
+        y = 1.5 * a * rf
+        lon, lat = g.unproject((qf * a + y / 3.0) * np.sqrt(3.0), y)
+        for step in (-np.inf, np.inf):
+            lon = np.concatenate([lon, np.nextafter(lon[:60], step)])
+            lat = np.concatenate([lat, np.nextafter(lat[:60], step)])
+        rows.append(pd.DataFrame({"res": res, "lon": lon, "lat": lat}))
+    pdf = pd.concat(rows, ignore_index=True)
+    df = spark.createDataFrame(pdf)
+    for res in range(4, 12):
+        g = HexGrid(res, 56.0, 11.5)
+        sub = pdf[pdf["res"] == res]
+        got = (
+            df.filter(F.col("res") == res)
+            .select(cell_col(g, F.col("lon"), F.col("lat")).alias("cl"))
+            .toPandas()["cl"]
+            .to_numpy()
+        )
+        assert (got == g.to_cell(sub["lon"].to_numpy(), sub["lat"].to_numpy())).all()
+
+
+def test_aggregate_plan_has_no_python_udf(spark, kiel_trips):
+    """Cell assignment and grid distance run as native expressions: the
+    aggregation plans hold no Python evaluation node."""
+    grid = HexGrid(9, REGION_OF["KIEL"].lat0, REGION_OF["KIEL"].lon0)
+    for df in aggregate(to_spark(spark, kiel_trips.head(200)), grid):
+        plan = df._jdf.queryExecution().executedPlan().toString()
+        assert "Exchange" in plan  # the plan is the physical one
+        for node in ("ArrowEvalPython", "BatchEvalPython", "PythonUDF"):
+            assert node not in plan
 
 
 def test_lag_cl_is_previous_cell_in_trip(kiel_cells):

@@ -68,6 +68,25 @@ def test_impute_with_ts_timestamps_monotone(habit9, kiel_gaps):
     assert pdf["ts"].is_monotonic_increasing
 
 
+@pytest.mark.parametrize("end", [False, True], ids=["start", "end"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_impute_with_ts_rejects_non_finite(habit9, kiel_gaps, bad, end):
+    g = kiel_gaps[0]
+    lons = [g.start_lon, g.end_lon]
+    lons[end] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        habit9.impute_with_ts(lons[0], g.start_lat, g.start_ts, lons[1], g.end_lat, g.end_ts)
+
+
+def test_batch_spark_rejects_non_finite(spark, habit9, kiel_gaps):
+    """A gap with a NaN endpoint fails the batch job with the model's
+    error instead of imputing from an arbitrary node."""
+    gaps = gaps_to_pandas(kiel_gaps[:2])
+    gaps.loc[1, "end_lat"] = np.nan
+    with pytest.raises(Exception, match="non-finite coordinate"):
+        habit9.impute_batch_spark(spark, to_spark(spark, gaps)).collect()
+
+
 def test_batch_spark_matches_driver(spark, habit9, kiel_gaps):
     """Distributed inference must equal the driver-side loop."""
     gaps_df = to_spark(spark, gaps_to_pandas(kiel_gaps))

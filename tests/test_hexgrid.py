@@ -1,4 +1,6 @@
 """Unit + property tests for the hex grid substrate (H3 substitute)."""
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from repro.hexgrid.hex import (
     EDGE_M,
     NEIGHBOR_OFFSETS,
     HexGrid,
+    _axial_round,
+    _axial_round_scalar,
     cell_res,
     grid_distance,
     pack,
@@ -106,6 +110,74 @@ def test_vectorized_matches_scalar():
     cells = GRID.to_cell(lon, lat)
     for i in range(3):
         assert int(GRID.to_cell(lon[i], lat[i])) == int(cells[i])
+
+
+# --- scalar cell assignment -------------------------------------------------
+
+def _locate_matches_vectorized(g: HexGrid, lon: float, lat: float) -> None:
+    cell, x, y = g.locate(lon, lat)
+    vx, vy = g.project(np.array([lon]), np.array([lat]))
+    assert cell == int(g.to_cell(np.array([lon]), np.array([lat]))[0])
+    assert (x, y) == (float(vx[0]), float(vy[0]))
+    assert type(cell) is int and type(x) is float and type(y) is float
+
+
+@given(lon=lons, lat=lats, res=st.integers(min_value=4, max_value=11))
+@settings(max_examples=300, deadline=None)
+def test_locate_equals_to_cell(lon, lat, res):
+    _locate_matches_vectorized(HexGrid(res, 56.0, 11.5), lon, lat)
+
+
+#: Fractional axial parts that put a point on a rounding tie (1/2) or make
+#: two of the cube-rounding distances equal (1/4, 3/4, 1/3, 2/3, 1/6, 5/6).
+FRACTIONS = st.sampled_from([0.0, 0.5, 0.25, 0.75, 1 / 3, 2 / 3, 1 / 6, 5 / 6])
+
+
+@given(
+    q=st.integers(-2000, 2000), r=st.integers(-2000, 2000),
+    fq=FRACTIONS, fr=FRACTIONS, sq=st.sampled_from([1, -1]), sr=st.sampled_from([1, -1]),
+)
+@settings(max_examples=300, deadline=None)
+def test_axial_round_scalar_equals_vectorized_on_ties(q, r, fq, fr, sq, sr):
+    qf, rf = q + sq * fq, r + sr * fr
+    vq, vr = _axial_round(np.array([qf]), np.array([rf]))
+    assert _axial_round_scalar(qf, rf) == (int(vq[0]), int(vr[0]))
+
+
+@given(
+    q=st.integers(-300, 300), r=st.integers(-300, 300), fq=FRACTIONS, fr=FRACTIONS,
+    res=st.integers(min_value=4, max_value=11), ulps=st.integers(-3, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_locate_equals_to_cell_at_rounding_ties(q, r, fq, fr, res, ulps):
+    """Points placed on half-way (or equidistant) axial coordinates, then
+    moved a few ulps: both paths must round them the same way."""
+    g = HexGrid(res, 56.0, 11.5)
+    a = g.edge_m
+    qf, rf = q + fq, r + fr
+    y = 1.5 * a * rf
+    x = (qf * a + y / 3.0) * np.sqrt(3.0)
+    lon, lat = (float(v) for v in g.unproject(x, y))
+    lon = float(np.nextafter(lon, np.sign(ulps) * np.inf)) if ulps else lon
+    for _ in range(abs(ulps) - 1):
+        lat = float(np.nextafter(lat, np.sign(ulps) * np.inf))
+    _locate_matches_vectorized(g, lon, lat)
+
+
+def test_pickle_keeps_parameters_only():
+    g = HexGrid(8, 56.0, 11.5)
+    g.locate(11.6, 56.1)  # fills the cached constants
+    blob = pickle.dumps(g)
+    assert pickle.loads(blob) == g
+    assert len(blob) == len(pickle.dumps(HexGrid(8, 56.0, 11.5)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_locate_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        GRID.locate(bad, 56.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        GRID.locate(11.5, bad)
 
 
 # --- grid distance ---------------------------------------------------------

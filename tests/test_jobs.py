@@ -1,7 +1,9 @@
 """The job entrypoints must be importable and wired to the right harnesses
 (they are executed at bench scale outside the test suite)."""
 import importlib
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -39,3 +41,22 @@ def test_common_bench_sf(monkeypatch):
     assert common.bench_sf() == 0.5
     monkeypatch.delenv("REPRO_SF")
     assert common.bench_sf() == 1.0
+
+
+def test_common_exports_src_to_spark_workers():
+    """Importing ``_common`` puts ``src/`` on ``PYTHONPATH`` and sets
+    ``PYSPARK_PYTHON``, so Spark's Python workers (which inherit the JVM's
+    environment) import ``repro`` without an installed package."""
+    code = (
+        "import os, sys; import _common; "
+        "print(os.environ['PYTHONPATH']); print(os.environ['PYSPARK_PYTHON'])"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYSPARK_PYTHON")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=JOBS, env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    path, python = out.stdout.splitlines()
+    src = (JOBS.parent / "src").resolve()
+    assert pathlib.Path(path.split(os.pathsep)[0]).resolve() == src
+    assert python == sys.executable

@@ -5,7 +5,6 @@ import pytest
 
 from repro.ais.gaps import Gap
 from repro.baselines.sli import sli_impute
-from repro.eval.latency import time_queries
 from repro.eval.metrics import DTW_SPACING_M, densified_truth, evaluate_gaps, summarize
 
 
@@ -87,9 +86,3 @@ def test_densified_truth_spacing():
 
     seg = haversine_m(lon[:-1], lat[:-1], lon[1:], lat[1:])
     assert float(seg.max()) <= DTW_SPACING_M * 1.001
-
-
-def test_time_queries():
-    out = time_queries(lambda a, b, c, d: sli_impute(a, b, c, d), [_gap(False)] * 5)
-    assert out["n"] == 5
-    assert out["max_s"] >= out["avg_s"] >= 0.0

@@ -87,6 +87,28 @@ def test_snap_empty_model_raises():
         model.snap(10.0, 55.0)
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "+inf", "-inf"])
+def test_impute_rejects_non_finite_start(chain_model, bad):
+    """A non-finite endpoint is an error, not a snap to some node."""
+    _, model = chain_model
+    with pytest.raises(ValueError, match="non-finite"):
+        model.impute(bad, LATS[0], LONS[-1], LATS[-1])
+    with pytest.raises(ValueError, match="non-finite"):
+        model.impute(LONS[0], bad, LONS[-1], LATS[-1])
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "+inf", "-inf"])
+def test_impute_rejects_non_finite_end(chain_model, bad):
+    _, model = chain_model
+    with pytest.raises(ValueError, match="non-finite"):
+        model.impute(LONS[0], LATS[0], bad, LATS[-1])
+    with pytest.raises(ValueError, match="non-finite"):
+        model.impute(LONS[0], LATS[0], LONS[-1], bad)
+
+
 # --- path search ------------------------------------------------------------
 
 def test_cell_path_follows_chain(chain_model):

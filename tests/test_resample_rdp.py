@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo.geodesy import haversine_m
-from repro.geo.rdp import rdp
+from repro.geo.rdp import _rdp_mask, rdp
 from repro.geo.resample import densify, path_length_m, turn_stats
 
 
@@ -193,3 +193,57 @@ def test_rdp_max_deviation_bounded():
             )
             d = min(d, np.hypot(px - (ax + t * (bx - ax)), py - (ay + t * (by - ay))))
         assert d <= tol * 1.01
+
+
+def _rdp_mask_numpy(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+    """Reference: the vectorized keep-mask (one numpy pass per segment)."""
+    n = x.size
+    keep = np.zeros(n, dtype=bool)
+    keep[0] = keep[-1] = True
+    stack = [(0, n - 1)]
+    while stack:
+        i, j = stack.pop()
+        if j <= i + 1:
+            continue
+        dx, dy = x[j] - x[i], y[j] - y[i]
+        seg_len2 = dx * dx + dy * dy
+        px = x[i + 1 : j] - x[i]
+        py = y[i + 1 : j] - y[i]
+        if seg_len2 == 0.0:
+            d2 = px * px + py * py
+        else:
+            cross = px * dy - py * dx
+            d2 = cross * cross / seg_len2
+        k = int(np.argmax(d2))
+        if d2[k] > tol * tol:
+            m = i + 1 + k
+            keep[m] = True
+            stack.append((i, m))
+            stack.append((m, j))
+    return keep
+
+
+#: Planar coordinates with repeats (equal distances, zero-length segments)
+#: and ordinary spreads.
+_coord = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 100.0]),
+    st.floats(min_value=-5e4, max_value=5e4, allow_nan=False),
+)
+
+
+@given(
+    pts=st.lists(st.tuples(_coord, _coord), min_size=2, max_size=40),
+    tol=st.sampled_from([0.0, 1.0, 50.0, 100.0, 1000.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_rdp_mask_equals_numpy_reference(pts, tol):
+    x, y = (np.array(v, dtype=np.float64) for v in zip(*pts))
+    assert _rdp_mask(x, y, tol).tolist() == _rdp_mask_numpy(x, y, tol).tolist()
+
+
+def test_rdp_mask_non_finite_like_numpy_reference():
+    """A NaN distance wins as the first maximum, as ``np.argmax`` has it."""
+    x = np.array([0.0, 5.0, np.nan, 300.0, 7.0, 10.0])
+    y = np.array([0.0, 400.0, 1.0, -2.0, np.inf, 0.0])
+    for tol in (0.0, 10.0):
+        assert _rdp_mask(x, y, tol).tolist() == _rdp_mask_numpy(x, y, tol).tolist()
