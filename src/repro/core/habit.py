@@ -3,9 +3,10 @@
 ``Habit.fit`` runs the distributed §3.2 aggregation and assembles the model;
 ``impute`` answers one gap query (A* + inverse projection + RDP, with
 timestamps interpolated along the imputed path); ``impute_batch_spark``
-distributes a whole gap table over the cluster with the model (its two
-tables and grid parameters) broadcast to executors — the batch-inference
-path for the Spark deployment.
+distributes a whole gap table over the cluster with the configured
+``Habit`` (its r, p, t and the model's two tables and grid parameters)
+broadcast to executors, where each gap is answered by the same ``impute``
+as on the driver — the batch-inference path for the Spark deployment.
 """
 from __future__ import annotations
 
@@ -85,29 +86,24 @@ class Habit:
 
     def impute_batch_spark(self, spark: SparkSession, gaps_df: DataFrame) -> DataFrame:
         """Distribute imputation over a gap table (schema of
-        ``repro.ais.gaps.gaps_to_pandas``); the fitted model is broadcast.
+        ``repro.ais.gaps.gaps_to_pandas``); this ``Habit`` is broadcast.
 
-        Returns one row per imputed point: gap_id, seq, lon, lat, ts.
+        Returns one row per imputed point: gap_id, seq, lon, lat, ts. Each
+        row is what :meth:`impute_with_ts` answers on the driver.
         """
         assert self.model is not None, "call fit() first"
-        bc = spark.sparkContext.broadcast(
-            {"model": self.model, "p": self.p, "t": self.t}
-        )
+        bc = spark.sparkContext.broadcast(self)
 
         def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            cfg = bc.value
-            model: HabitModel = cfg["model"]
+            habit: Habit = bc.value
             for pdf in batches:
                 ids, lons, lats, tss = [], [], [], []
                 for row in pdf.itertuples(index=False):
-                    path = model.impute(
-                        row.start_lon, row.start_lat, row.end_lon, row.end_lat, p=cfg["p"]
-                    )
-                    lon, lat = simplify_path(path.lon, path.lat, cfg["t"])
+                    res = habit.impute(row.start_lon, row.start_lat, row.end_lon, row.end_lat)
                     ids.append(row.gap_id)
-                    lons.append(lon)
-                    lats.append(lat)
-                    tss.append(interpolate_ts(lon, lat, row.start_ts, row.end_ts))
+                    lons.append(res.lon)
+                    lats.append(res.lat)
+                    tss.append(interpolate_ts(res.lon, res.lat, row.start_ts, row.end_ts))
                 if not ids:
                     continue
                 # one frame per batch: each gap's points, seq 0.. within it

@@ -127,11 +127,3 @@ def preprocess(df: DataFrame, **kwargs) -> DataFrame:
     clean_kw = {k: kwargs[k] for k in ("max_sog_kn", "spike_kn") if k in kwargs}
     seg_kw = {k: kwargs[k] for k in ("stop_kn", "gap_min", "min_points") if k in kwargs}
     return segment_trips(clean(df, **clean_kw), **seg_kw)
-
-
-def dataset_stats(raw_df: DataFrame, trips_df: DataFrame) -> dict:
-    """Table 1 characteristics: positions, ships (raw), trips (segmented)."""
-    positions = raw_df.count()
-    ships = raw_df.select("vessel_id").distinct().count()
-    trips = trips_df.select("trip_id").distinct().count()
-    return {"positions": positions, "ships": ships, "trips": trips}

@@ -17,11 +17,6 @@ from repro.core.model import HabitModel
 from repro.hexgrid.hex import HexGrid
 
 
-def graph_tables(model: HabitModel) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Node/edge tables of a fitted model (copies of the ones it holds)."""
-    return model.nodes.copy(), model.edges.copy()
-
-
 def parquet_bytes(pdf: pd.DataFrame) -> int:
     """Size of a frame serialized as parquet (in memory)."""
     buf = io.BytesIO()

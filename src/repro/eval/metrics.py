@@ -10,7 +10,6 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-import numpy as np
 import pandas as pd
 
 from repro.ais.gaps import Gap
@@ -60,8 +59,3 @@ def summarize(per_gap: pd.DataFrame) -> dict:
         "lat_max_s": float(per_gap["secs"].max()),
         "fallback_frac": float(per_gap["fallback"].mean()),
     }
-
-
-def densified_truth(g: Gap) -> tuple[np.ndarray, np.ndarray]:
-    """Ground-truth gap segment at DTW spacing (for plots / debugging)."""
-    return densify(g.truth_lon, g.truth_lat, DTW_SPACING_M)

@@ -1,14 +1,14 @@
 """Experiment orchestration: one function per table/figure of the paper.
 
 ``Lab`` caches everything expensive — synthetic datasets, preprocessed trip
-tables, train/test splits, injected gaps, fitted models — so the table
-functions and benchmarks can share work. All functions return pandas frames
-whose rows mirror the paper's tables; EXPERIMENTS.md records paper vs
-measured values side by side.
+tables, train/test splits, injected gaps, fitted models and evaluation
+passes — so the table functions share work: Table 4 and Figures 5 and 7
+read one pass per (dataset, method, configuration, gap duration). All
+functions return pandas frames whose rows mirror the paper's tables;
+EXPERIMENTS.md records paper vs measured values side by side.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -30,6 +30,22 @@ HABIT_LATENCY_CONFIGS = ((9, 100.0), (9, 250.0), (10, 100.0), (10, 250.0))
 GTI_RD_SWEEP = (1e-4, 5e-4, 1e-3)
 
 
+def _gti_rm(name: str, rd: float) -> float:
+    """The paper's rm per configuration (rm=500 for SAR at rd=1e-3)."""
+    return 500.0 if (name == "SAR" and rd == 1e-3) else 250.0
+
+
+def method_configs(name: str) -> list[tuple[str, tuple]]:
+    """The method configurations §4 scores on a dataset (Table 4, Figures 5
+    and 7), as ``Lab.evaluate`` keys: SLI ``()``, HABIT ``(r, p, t)`` and
+    GTI ``(rm, rd)``."""
+    return [
+        ("SLI", ()),
+        *(("HABIT", (res, "w", t)) for res, t in HABIT_LATENCY_CONFIGS),
+        *(("GTI", (_gti_rm(name, rd), rd)) for rd in GTI_RD_SWEEP),
+    ]
+
+
 class Lab:
     """Shared, cached experiment state for one scale factor."""
 
@@ -41,6 +57,7 @@ class Lab:
         self._gaps: dict[tuple, list[Gap]] = {}
         self._habit: dict[tuple, object] = {}  # (name, res) -> fitted HabitModel
         self._gti: dict[tuple, GTI] = {}
+        self._runs: dict[tuple, pd.DataFrame] = {}  # evaluate() key -> per-gap frame
 
     # -- data ---------------------------------------------------------------
     def raw(self, name: str) -> pd.DataFrame:
@@ -103,6 +120,30 @@ class Lab:
             self._gti[key] = g
         return self._gti[key]
 
+    # -- evaluation ---------------------------------------------------------
+    def evaluate(
+        self, name: str, method: str, cfg: tuple, duration_min: float = 60.0
+    ) -> pd.DataFrame:
+        """Per-gap scores (:func:`evaluate_gaps`) of one method configuration
+        over the dataset's gaps of ``duration_min``; ``cfg`` is ``()`` for
+        SLI, ``(r, p, t)`` for HABIT, ``(rm, rd)`` for GTI. Each key runs
+        once, and every table that reads it shares the frame (read it, do
+        not modify it)."""
+        key = (name, method, cfg, duration_min)
+        if key not in self._runs:
+            if method == "SLI":
+                impute = sli_impute
+            elif method == "HABIT":
+                res, p, t = cfg
+                impute = self.habit(name, res, p=p, t=t).impute
+            elif method == "GTI":
+                rm, rd = cfg
+                impute = self.gti(name, rm_m=rm, rd_deg=rd).impute
+            else:
+                raise ValueError(f"unknown method {method!r}")
+            self._runs[key] = evaluate_gaps(impute, self.gaps(name, duration_min))
+        return self._runs[key]
+
 
 # --- Table 1: dataset characteristics --------------------------------------
 
@@ -126,11 +167,6 @@ def table1(lab: Lab, names: tuple[str, ...] = ("DAN", "KIEL", "SAR")) -> pd.Data
 
 
 # --- Table 2: framework storage size ---------------------------------------
-
-def _gti_rm(name: str, rd: float) -> float:
-    """The paper's rm per configuration (rm=500 for SAR at rd=1e-3)."""
-    return 500.0 if (name == "SAR" and rd == 1e-3) else 250.0
-
 
 def table2(lab: Lab, names: tuple[str, ...] = ("KIEL", "SAR")) -> pd.DataFrame:
     """Framework storage size (MB): HABIT r sweep vs GTI rd sweep."""
@@ -195,36 +231,29 @@ def table3(
 
 # --- Table 4: query latency -------------------------------------------------
 
+def _label(method: str, cfg: tuple) -> str:
+    """A configuration as Table 4 and Figure 5 print it."""
+    if method == "HABIT":
+        return f"r = {cfg[0]}, t = {int(cfg[2])}"
+    if method == "GTI":
+        return f"rm = {int(cfg[0])}, rd = {cfg[1]:g}"
+    return "-"
+
+
 def table4(lab: Lab, names: tuple[str, ...] = ("KIEL", "SAR")) -> pd.DataFrame:
     """Average and maximum imputation latency (s) per method configuration."""
     rows = []
     for name in names:
-        gaps = lab.gaps(name)
-        for res, t in HABIT_LATENCY_CONFIGS:
-            habit = lab.habit(name, res, t=t)
-            per_gap = evaluate_gaps(habit.impute, gaps)
-            s = summarize(per_gap)
+        for method, cfg in method_configs(name):
+            if method == "SLI":
+                continue
+            s = summarize(lab.evaluate(name, method, cfg))
             rows.append(
                 {
                     "Dataset": name,
                     "n_gaps": s["n_gaps"],
-                    "Method": "HABIT",
-                    "Configuration": f"r = {res}, t = {int(t)}",
-                    "Avg": s["lat_avg_s"],
-                    "Max": s["lat_max_s"],
-                }
-            )
-        for rd in GTI_RD_SWEEP:
-            rm = _gti_rm(name, rd)
-            gti = lab.gti(name, rm_m=rm, rd_deg=rd)
-            per_gap = evaluate_gaps(gti.impute, gaps)
-            s = summarize(per_gap)
-            rows.append(
-                {
-                    "Dataset": name,
-                    "n_gaps": s["n_gaps"],
-                    "Method": "GTI",
-                    "Configuration": f"rm = {int(rm)}, rd = {rd:g}",
+                    "Method": method,
+                    "Configuration": _label(method, cfg),
                     "Avg": s["lat_avg_s"],
                     "Max": s["lat_max_s"],
                 }
@@ -235,36 +264,22 @@ def table4(lab: Lab, names: tuple[str, ...] = ("KIEL", "SAR")) -> pd.DataFrame:
 # --- Figure 5 (shape check): accuracy comparison ---------------------------
 
 def fig5_accuracy(lab: Lab, names: tuple[str, ...] = ("KIEL", "SAR")) -> pd.DataFrame:
-    """Mean & median DTW for SLI, HABIT configs, GTI configs (60-min gaps)."""
+    """Mean & median DTW for SLI, HABIT configs, GTI configs (60-min gaps),
+    and the percentage of queries answered by the straight-line fallback."""
     rows = []
     for name in names:
-        gaps = lab.gaps(name)
-
-        def emit(method: str, cfg: str, per_gap: pd.DataFrame) -> None:
-            s = summarize(per_gap)
+        for method, cfg in method_configs(name):
+            s = summarize(lab.evaluate(name, method, cfg))
             rows.append(
                 {
                     "Dataset": name,
                     "Method": method,
-                    "Configuration": cfg,
+                    "Configuration": _label(method, cfg),
                     "dtw_mean_m": s["dtw_mean_m"],
                     "dtw_median_m": s["dtw_median_m"],
-                    "fallback_frac": s["fallback_frac"],
+                    "fallback_pct": 100.0 * s["fallback_frac"],
                 }
             )
-
-        emit(
-            "SLI",
-            "-",
-            evaluate_gaps(lambda a, b, c, d: sli_impute(a, b, c, d), gaps),
-        )
-        for res, t in HABIT_LATENCY_CONFIGS:
-            habit = lab.habit(name, res, t=t)
-            emit("HABIT", f"r = {res}, t = {int(t)}", evaluate_gaps(habit.impute, gaps))
-        for rd in GTI_RD_SWEEP:
-            rm = _gti_rm(name, rd)
-            gti = lab.gti(name, rm_m=rm, rd_deg=rd)
-            emit("GTI", f"rm = {int(rm)}, rd = {rd:g}", evaluate_gaps(gti.impute, gaps))
     return pd.DataFrame(rows)
 
 
@@ -277,12 +292,10 @@ def fig3_projection(
     res_sweep: tuple[int, ...] = HABIT_RES_SWEEP,
 ) -> pd.DataFrame:
     """HABIT DTW at each resolution for p = cell center vs data median."""
-    gaps = lab.gaps(name)
     rows = []
     for res in res_sweep:
         for p in ("c", "w"):
-            habit = lab.habit(name, res, p=p, t=100.0)
-            s = summarize(evaluate_gaps(habit.impute, gaps))
+            s = summarize(lab.evaluate(name, "HABIT", (res, p, 100.0)))
             rows.append(
                 {
                     "r": res,
@@ -305,12 +318,13 @@ def fig7_gap_durations(
     rows = []
     for name in names:
         for dur in durations:
-            gaps = lab.gaps(name, duration_min=dur)
-            if not gaps:
+            if not lab.gaps(name, duration_min=dur):
                 continue
-            for res, t in HABIT_LATENCY_CONFIGS:
-                habit = lab.habit(name, res, t=t)
-                s = summarize(evaluate_gaps(habit.impute, gaps))
+            for method, cfg in method_configs(name):
+                if method != "HABIT":
+                    continue
+                s = summarize(lab.evaluate(name, method, cfg, duration_min=dur))
+                res, _, t = cfg
                 rows.append(
                     {
                         "Dataset": name,

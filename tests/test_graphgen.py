@@ -11,7 +11,6 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.ais.datasets import REGION_OF, to_spark
-from repro.core import storage
 from repro.core.graphgen import (
     aggregate,
     cell_col,
@@ -182,7 +181,7 @@ def test_model_tables_roundtrip(spark, kiel_cells):
     nodes, edges = nodes_df.toPandas(), edges_df.toPandas()
     model = HabitModel(grid=grid, nodes=nodes, edges=edges)
     assert (model.n_nodes, model.n_edges) == (len(nodes), len(edges))
-    got_n, got_e = storage.graph_tables(model)
+    got_n, got_e = model.nodes, model.edges
     pd.testing.assert_frame_equal(got_n, nodes[list(NODE_COLUMNS)].astype(NODE_COLUMNS))
     src = pd.Index(nodes["cl"]).get_indexer(edges["lag_cl"])
     want_e = edges.iloc[np.argsort(src, kind="stable")][list(EDGE_COLUMNS)]

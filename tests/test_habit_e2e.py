@@ -113,7 +113,7 @@ def test_storage_save_load_roundtrip(tmp_path, habit9, kiel_gaps):
 
 def test_storage_bytes_positive_and_matches_tables(habit9):
     n = habit9.storage_bytes()
-    nodes, edges = storage.graph_tables(habit9.model)
+    nodes, edges = habit9.model.nodes, habit9.model.edges
     assert n == storage.parquet_bytes(nodes) + storage.parquet_bytes(edges)
     assert n > 1000
 

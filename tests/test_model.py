@@ -283,7 +283,7 @@ def test_edges_held_in_source_order():
     cells, nodes, edges = _chain_tables(LONS, LATS)
     shuffled = edges.iloc[::-1]
     model = HabitModel(grid=GRID, nodes=nodes, edges=shuffled)
-    pd.testing.assert_frame_equal(storage.graph_tables(model)[1], edges)
+    pd.testing.assert_frame_equal(model.edges, edges)
 
 
 def test_edge_endpoint_missing_from_nodes_raises():

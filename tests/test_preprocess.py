@@ -10,7 +10,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.ais.datasets import to_spark
-from repro.core.preprocess import clean, dataset_stats, preprocess, segment_trips
+from repro.core.preprocess import clean, preprocess, segment_trips
 from repro.geo.geodesy import KNOT_MS, haversine_m
 
 
@@ -221,13 +221,3 @@ def test_trips_never_contain_long_silence(lab):
         dt = g["ts"].diff().dt.total_seconds().dropna()
         if len(dt):
             assert dt.max() <= 30 * 60
-
-
-def test_dataset_stats(spark, lab):
-    raw = lab.raw("KIEL")
-    raw_df = to_spark(spark, raw)
-    trips_df = to_spark(spark, lab.trips_pdf("KIEL"))
-    stats = dataset_stats(raw_df, trips_df)
-    assert stats["positions"] == len(raw)
-    assert stats["ships"] == 2
-    assert stats["trips"] >= 4

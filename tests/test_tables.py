@@ -1,12 +1,19 @@
 """Integration tests: the table harnesses produce the paper's rows and the
 qualitative shapes the paper reports (at test scale)."""
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.baselines.gti import GTI
+from repro.core.habit import Habit
+from repro.eval import tables
+from repro.eval.metrics import evaluate_gaps, summarize
 from repro.eval.tables import (
     fig5_accuracy,
     fig7_gap_durations,
     format_table,
+    method_configs,
     table1,
     table2,
     table3,
@@ -92,6 +99,48 @@ def test_fig5_accuracy_contains_all_methods(lab):
     f5 = fig5_accuracy(lab, names=("KIEL",))
     assert {"SLI", "HABIT", "GTI"} == set(f5["Method"])
     assert (f5["dtw_mean_m"] > 0).all()
+
+
+def test_each_evaluation_pass_runs_once(lab, monkeypatch):
+    """Table 4 and Figures 5 and 7 (60 min) read one ``evaluate_gaps`` pass
+    per (dataset, method, config, duration), and Figure 5's HABIT and GTI
+    rows are those of a direct pass."""
+    names = ("KIEL", "SAR")
+    monkeypatch.setattr(lab, "_runs", {})  # fits stay shared, passes start cold
+    calls = Counter()
+
+    def counted(impute_fn, gaps):
+        owner = getattr(impute_fn, "__self__", None)
+        if isinstance(owner, Habit):
+            method, cfg = "HABIT", (owner.res, owner.p, owner.t)
+        elif isinstance(owner, GTI):
+            method, cfg = "GTI", (owner.rm_m, owner.rd_deg)
+        else:
+            method, cfg = "SLI", ()
+        name = next(n for n in names if lab.gaps(n) is gaps)
+        calls[(name, method, cfg, 60.0)] += 1
+        return evaluate_gaps(impute_fn, gaps)
+
+    monkeypatch.setattr(tables, "evaluate_gaps", counted)
+    table4(lab, names=names)
+    f5 = fig5_accuracy(lab, names=names)
+    fig7_gap_durations(lab, names=names, durations=(60.0,))
+
+    keys = [(n, m, cfg) for n in names for m, cfg in method_configs(n)]
+    assert set(calls) == {(*key, 60.0) for key in keys}
+    assert set(calls.values()) == {1}
+
+    assert len(f5) == len(keys)
+    for (name, method, cfg), row in zip(keys, f5.itertuples(index=False)):
+        assert (row.Dataset, row.Method) == (name, method)
+        if method == "HABIT":
+            impute = lab.habit(name, cfg[0], p=cfg[1], t=cfg[2]).impute
+        elif method == "GTI":
+            impute = lab.gti(name, rm_m=cfg[0], rd_deg=cfg[1]).impute
+        else:
+            continue
+        s = summarize(evaluate_gaps(impute, lab.gaps(name)))
+        assert (row.dtw_mean_m, row.dtw_median_m) == (s["dtw_mean_m"], s["dtw_median_m"])
 
 
 def test_fig7_durations(lab):
