@@ -58,9 +58,9 @@ def spark() -> SparkSession:
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so the joins of the fit (small-trip
-    filter, GTI's candidate edges) run as shuffles even at test scale, as
-    they do at bench scale.
+    Broadcast joins are disabled so GTI's candidate-edge join runs as a
+    shuffle even at test scale, as it does at bench scale. HABIT's fit has
+    no join: its small-trip filter is a window over each trip.
     """
     s = (
         SparkSession.builder.appName("repro")

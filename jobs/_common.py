@@ -1,8 +1,8 @@
-"""Shared spark-submit bootstrap for the table jobs.
+"""Spark bootstrap for ``run_all.py``.
 
-Each job builds its own SparkSession (mirroring conftest's configuration),
-runs one table harness at bench scale (sf=1.0 unless overridden via
-``REPRO_SF``), prints the table, and exits.
+The job builds its SparkSession here (mirroring conftest's configuration)
+and runs the table harnesses at bench scale (sf=1.0 unless overridden via
+``REPRO_SF``).
 
 Everything below runs *before* pyspark is imported, because the JVM reads
 its settings at launch and Spark's Python workers inherit its environment:

@@ -13,6 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
+#: Evaluation protocol (§4.1): the share of trips that build the models, and
+#: a gap's minimum distance from its trip's ends and hidden points.
+TRAIN_FRAC = 0.7
+MARGIN_MIN = 10.0
+MIN_INTERIOR = 3
+
 
 @dataclass(frozen=True)
 class Gap:
@@ -36,11 +42,11 @@ def _hash_frac(key: str) -> float:
     return int.from_bytes(h[:8], "big") / 2**64
 
 
-def split_trips(trip_ids, train_frac: float = 0.7) -> tuple[set, set]:
+def split_trips(trip_ids) -> tuple[set, set]:
     """Deterministic 70/30 split of trip ids into (train, test) sets."""
     train, test = set(), set()
     for t in trip_ids:
-        (train if _hash_frac(str(t)) < train_frac else test).add(t)
+        (train if _hash_frac(str(t)) < TRAIN_FRAC else test).add(t)
     return train, test
 
 
@@ -49,20 +55,18 @@ def make_gaps(
     *,
     duration_min: float = 60.0,
     seed: int = 0,
-    margin_min: float = 10.0,
-    min_interior: int = 3,
 ) -> list[Gap]:
     """Inject one random gap per eligible trip of ``trips_pdf``.
 
     ``trips_pdf`` is preprocessed data (with ``trip_id``) restricted to the
     trips to evaluate. A trip is eligible if it spans at least
-    ``duration_min + 2 * margin_min`` minutes and the gap window hides at
-    least ``min_interior`` points. Returns gaps sorted by gap id.
+    ``duration_min + 2 * MARGIN_MIN`` minutes and the gap window hides at
+    least ``MIN_INTERIOR`` points. Returns gaps sorted by gap id.
     """
     rng = np.random.default_rng(seed)
     gaps: list[Gap] = []
     dur = pd.Timedelta(minutes=duration_min)
-    margin = pd.Timedelta(minutes=margin_min)
+    margin = pd.Timedelta(minutes=MARGIN_MIN)
     for trip_id, g in trips_pdf.sort_values("ts").groupby("trip_id", sort=True):
         t_min, t_max = g["ts"].iloc[0], g["ts"].iloc[-1]
         slack = (t_max - t_min) - dur - 2 * margin
@@ -74,7 +78,7 @@ def make_gaps(
         before = g[ts <= gs]
         inside = g[(ts > gs) & (ts < ge)]
         after = g[ts >= ge]
-        if len(inside) < min_interior or before.empty or after.empty:
+        if len(inside) < MIN_INTERIOR or before.empty or after.empty:
             continue
         s, e = before.iloc[-1], after.iloc[0]
         truth = pd.concat([before.iloc[[-1]], inside, after.iloc[[0]]])

@@ -34,7 +34,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.model import ImputedPath, csr
+from repro.core.model import ImputedPath, csr, straight_line
 from repro.core.preprocess import haversine_m_col
 from repro.core.storage import parquet_bytes
 from repro.geo.geodesy import local_xy
@@ -197,11 +197,7 @@ class GTI:
         s, t = self._snap(start_lon, start_lat), self._snap(end_lon, end_lat)
         path = self._dijkstra(s, t)
         if path is None:
-            return ImputedPath(
-                lon=np.array([start_lon, end_lon]),
-                lat=np.array([start_lat, end_lat]),
-                fallback=True,
-            )
+            return straight_line(start_lon, start_lat, end_lon, end_lat, fallback=True)
         lon = np.concatenate([[start_lon], self._lon[path], [end_lon]])
         lat = np.concatenate([[start_lat], self._lat[path], [end_lat]])
         return ImputedPath(lon=lon, lat=lat, fallback=False)

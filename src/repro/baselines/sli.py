@@ -5,15 +5,9 @@ function (not a class): it has no model to fit and zero storage.
 """
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.model import ImputedPath
+from repro.core.model import ImputedPath, straight_line
 
 
 def sli_impute(start_lon: float, start_lat: float, end_lon: float, end_lat: float) -> ImputedPath:
     """The straight segment between the gap endpoints."""
-    return ImputedPath(
-        lon=np.array([start_lon, end_lon], dtype=np.float64),
-        lat=np.array([start_lat, end_lat], dtype=np.float64),
-        fallback=False,
-    )
+    return straight_line(start_lon, start_lat, end_lon, end_lat, fallback=False)

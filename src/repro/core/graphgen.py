@@ -12,14 +12,16 @@ Pipeline, exactly as §3.2 steps (1)–(4):
 3. each message assigned its hex cell ``cl`` and the preceding cell
    ``lag_cl`` along the trip sequence;
 4. two aggregations — per cell ``cl`` (count, distinct vessels, median
-   lon/lat/sog/cog) and per transition ``(lag_cl, cl)`` (distinct trips,
-   hex grid distance).
+   lon/lat) and per transition ``(lag_cl, cl)`` (distinct trips, hex grid
+   distance). These are exactly the columns the model keeps; the paper's
+   sog/cog medians are not computed, since no query reads them.
 
-Trips falling within at most two adjacent cells at resolution ``r`` carry no
-transition information and are excluded (§3.1, last paragraph).
+Trips falling within fewer than ``MIN_CELLS`` cells at resolution ``r``
+carry no transition information and are excluded (§3.1, last paragraph).
 
-``exact=True`` swaps ``approx_count_distinct`` (the paper's choice, HLL) for
-exact ``count_distinct`` so results are engine-comparable in oracle tests.
+``cell_stats``/``edge_stats(exact=True)`` swap ``approx_count_distinct``
+(the paper's choice, HLL) for exact ``count_distinct``: the reference mode
+the DuckDB oracle tests compare against.
 """
 from __future__ import annotations
 
@@ -27,6 +29,9 @@ from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.hexgrid.hex import QR_BIAS, QR_MASK, HexGrid
+
+#: Paper parameter (§3.1): trips within at most two adjacent cells are dropped.
+MIN_CELLS = 3
 
 
 def cell_col(grid: HexGrid, lon: Column, lat: Column) -> Column:
@@ -71,10 +76,10 @@ def with_cells(df: DataFrame, grid: HexGrid) -> DataFrame:
     return df.withColumn("lag_cl", F.lag("cl").over(w))
 
 
-def drop_small_trips(df: DataFrame, *, min_cells: int = 3) -> DataFrame:
-    """Drop trips spanning fewer than ``min_cells`` distinct cells."""
+def drop_small_trips(df: DataFrame) -> DataFrame:
+    """Drop trips spanning fewer than ``MIN_CELLS`` distinct cells."""
     ncells = F.size(F.collect_set("cl").over(Window.partitionBy("trip_id")))
-    return df.withColumn("_ncells", ncells).filter(F.col("_ncells") >= min_cells).drop("_ncells")
+    return df.withColumn("_ncells", ncells).filter(F.col("_ncells") >= MIN_CELLS).drop("_ncells")
 
 
 def cell_stats(df: DataFrame, *, exact: bool = False) -> DataFrame:
@@ -85,8 +90,6 @@ def cell_stats(df: DataFrame, *, exact: bool = False) -> DataFrame:
         nves.alias("nves"),
         F.median("lon").alias("mlon"),
         F.median("lat").alias("mlat"),
-        F.median("sog").alias("msog"),
-        F.median("cog").alias("mcog"),
     )
 
 
@@ -105,14 +108,8 @@ def edge_stats(df: DataFrame, *, exact: bool = False) -> DataFrame:
     return edges.withColumn("gdist", grid_distance_col(F.col("lag_cl"), F.col("cl")))
 
 
-def aggregate(
-    trips_df: DataFrame,
-    grid: HexGrid,
-    *,
-    exact: bool = False,
-    min_cells: int = 3,
-) -> tuple[DataFrame, DataFrame]:
+def aggregate(trips_df: DataFrame, grid: HexGrid) -> tuple[DataFrame, DataFrame]:
     """Run the full §3.2 aggregation; returns (nodes_df, edges_df)."""
-    df = drop_small_trips(with_cells(trips_df, grid), min_cells=min_cells)
-    return cell_stats(df, exact=exact), edge_stats(df, exact=exact)
+    df = drop_small_trips(with_cells(trips_df, grid))
+    return cell_stats(df), edge_stats(df)
 

@@ -41,18 +41,17 @@ def interpolate_ts(
 class Habit:
     """The configurable HABIT framework (parameters r, p, t of the paper)."""
 
-    def __init__(self, *, res: int, p: str = "w", t: float = 100.0, exact: bool = False):
+    def __init__(self, *, res: int, p: str = "w", t: float = 100.0):
         self.res = res
         self.p = p
         self.t = t
-        self.exact = exact
         self.model: HabitModel | None = None
 
     # -- construction -------------------------------------------------------
     def fit(self, trips_df: DataFrame, *, lat0: float, lon0: float) -> "Habit":
         """Aggregate preprocessed trips (Spark) and build the cell graph."""
         grid = HexGrid(self.res, lat0, lon0)
-        nodes_df, edges_df = aggregate(trips_df, grid, exact=self.exact)
+        nodes_df, edges_df = aggregate(trips_df, grid)
         self.model = HabitModel(grid=grid, nodes=nodes_df.toPandas(), edges=edges_df.toPandas())
         return self
 

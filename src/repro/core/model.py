@@ -71,6 +71,17 @@ class ImputedPath:
     fallback: bool  # True when the graph gave no path and SLI was used
 
 
+def straight_line(
+    start_lon: float, start_lat: float, end_lon: float, end_lat: float, *, fallback: bool
+) -> ImputedPath:
+    """The two-point path from the start to the end of a gap (SLI)."""
+    return ImputedPath(
+        lon=np.array([start_lon, end_lon], dtype=np.float64),
+        lat=np.array([start_lat, end_lat], dtype=np.float64),
+        fallback=fallback,
+    )
+
+
 class HabitModel:
     """Fitted HABIT framework: hex grid + weighted cell-transition graph.
 
@@ -209,11 +220,7 @@ class HabitModel:
         e_node = self.snap(end_lon, end_lat)
         cells = self.cell_path(s_node, e_node)
         if cells is None:
-            return ImputedPath(
-                lon=np.array([start_lon, end_lon]),
-                lat=np.array([start_lat, end_lat]),
-                fallback=True,
-            )
+            return straight_line(start_lon, start_lat, end_lon, end_lat, fallback=True)
         mid_lon, mid_lat = self.project_cells(cells, p=p)
         lon = np.concatenate([[start_lon], mid_lon, [end_lon]])
         lat = np.concatenate([[start_lat], mid_lat, [end_lat]])

@@ -21,9 +21,13 @@ from pyspark.sql import functions as F
 from repro.geo.geodesy import KNOT_MS
 from repro.hexgrid.hex import R_EARTH
 
-#: Paper parameter defaults (§3.1).
+#: Paper parameters (§3.1): the stop speed and the communication gap that
+#: end a trip, the speed limits of the noise filter, and the shortest trip.
 STOP_KN = 0.5
 GAP_MIN = 30.0
+MAX_SOG_KN = 80.0
+SPIKE_KN = 60.0
+MIN_POINTS = 5
 
 
 def haversine_m_col(lon1: Column, lat1: Column, lon2: Column, lat2: Column) -> Column:
@@ -36,23 +40,19 @@ def haversine_m_col(lon1: Column, lat1: Column, lon2: Column, lat2: Column) -> C
     return F.lit(2.0 * R_EARTH) * F.asin(F.sqrt(F.least(h, F.lit(1.0))))
 
 
-def clean(
-    df: DataFrame,
-    *,
-    max_sog_kn: float = 80.0,
-    spike_kn: float = 60.0,
-) -> DataFrame:
-    """Noise filtering: invalid coordinates, duplicates, positional spikes.
+def clean(df: DataFrame) -> DataFrame:
+    """Noise filtering: invalid coordinates, SOG outside ``[0, MAX_SOG_KN]``,
+    duplicates, positional spikes.
 
     A *spike* is a report whose implied speed both from the previous and to
-    the next report of the same vessel exceeds ``spike_kn`` — a single
+    the next report of the same vessel exceeds ``SPIKE_KN`` — a single
     displaced position no real vessel motion explains.
     """
     df = df.filter(
         F.col("lon").between(-180.0, 180.0)
         & F.col("lat").between(-90.0, 90.0)
         & F.col("sog").isNotNull()
-        & F.col("sog").between(0.0, max_sog_kn)
+        & F.col("sog").between(0.0, MAX_SOG_KN)
         & F.col("ts").isNotNull()
     )
     df = df.dropDuplicates(["vessel_id", "ts"])
@@ -75,37 +75,31 @@ def clean(
     spike = (
         F.col("_plon").isNotNull()
         & F.col("_nlon").isNotNull()
-        & (implied_kn(F.col("_plon"), F.col("_plat"), F.col("_pdt")) > spike_kn)
-        & (implied_kn(F.col("_nlon"), F.col("_nlat"), F.col("_ndt")) > spike_kn)
+        & (implied_kn(F.col("_plon"), F.col("_plat"), F.col("_pdt")) > SPIKE_KN)
+        & (implied_kn(F.col("_nlon"), F.col("_nlat"), F.col("_ndt")) > SPIKE_KN)
     )
     return df.filter(~spike).drop("_plon", "_plat", "_pdt", "_nlon", "_nlat", "_ndt")
 
 
-def segment_trips(
-    df: DataFrame,
-    *,
-    stop_kn: float = STOP_KN,
-    gap_min: float = GAP_MIN,
-    min_points: int = 5,
-) -> DataFrame:
+def segment_trips(df: DataFrame) -> DataFrame:
     """Assign ``trip_id`` to moving positions; drop stationary ones.
 
     A new trip starts at the first moving position after a stop (any
-    position with SOG < ``stop_kn`` in between) or after a communication
-    gap (> ``gap_min`` minutes between consecutive moving positions).
-    Trips with fewer than ``min_points`` positions are dropped.
+    position with SOG < ``STOP_KN`` in between) or after a communication
+    gap (> ``GAP_MIN`` minutes between consecutive moving positions).
+    Trips with fewer than ``MIN_POINTS`` positions are dropped.
     """
     w = Window.partitionBy("vessel_id").orderBy("ts")
     cum = w.rowsBetween(Window.unboundedPreceding, Window.currentRow)
     secs = F.unix_timestamp("ts").cast("double")
 
-    df = df.withColumn("_stopped", (F.col("sog") < stop_kn).cast("int"))
+    df = df.withColumn("_stopped", (F.col("sog") < STOP_KN).cast("int"))
     df = df.withColumn("_stop_cum", F.sum("_stopped").over(cum))
     moving = df.filter(F.col("_stopped") == 0)
 
     boundary = (
         F.lag("ts").over(w).isNull()
-        | ((secs - F.lag(secs).over(w)) > gap_min * 60.0)
+        | ((secs - F.lag(secs).over(w)) > GAP_MIN * 60.0)
         | (F.col("_stop_cum") > F.lag("_stop_cum").over(w))
     )
     moving = moving.withColumn("_new_trip", boundary.cast("int"))
@@ -117,13 +111,11 @@ def segment_trips(
     # are already partitioned by vessel_id: no new shuffle
     counts = Window.partitionBy("vessel_id", "_trip_seq")
     moving = moving.withColumn("_n", F.count(F.lit(1)).over(counts))
-    return moving.filter(F.col("_n") >= min_points).drop(
+    return moving.filter(F.col("_n") >= MIN_POINTS).drop(
         "_stopped", "_stop_cum", "_new_trip", "_trip_seq", "_n"
     )
 
 
-def preprocess(df: DataFrame, **kwargs) -> DataFrame:
+def preprocess(df: DataFrame) -> DataFrame:
     """Full phase 1: :func:`clean` then :func:`segment_trips`."""
-    clean_kw = {k: kwargs[k] for k in ("max_sog_kn", "spike_kn") if k in kwargs}
-    seg_kw = {k: kwargs[k] for k in ("stop_kn", "gap_min", "min_points") if k in kwargs}
-    return segment_trips(clean(df, **clean_kw), **seg_kw)
+    return segment_trips(clean(df))

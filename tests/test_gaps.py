@@ -81,7 +81,7 @@ def test_gap_truth_interior_size():
 
 def test_gap_respects_margins():
     trips = _toy_trip("A#1")
-    g = make_gaps(trips, duration_min=60, seed=5, margin_min=10)[0]
+    g = make_gaps(trips, duration_min=60, seed=5)[0]
     t_min, t_max = trips["ts"].iloc[0], trips["ts"].iloc[-1]
     assert g.start_ts >= t_min + pd.Timedelta(minutes=9)
     assert g.end_ts <= t_max - pd.Timedelta(minutes=9)

@@ -83,6 +83,14 @@ def test_cell_col_matches_driver_near_rounding_ties(spark):
         assert (got == g.to_cell(sub["lon"].to_numpy(), sub["lat"].to_numpy())).all()
 
 
+def test_aggregate_emits_only_model_columns(spark, kiel_trips):
+    """The fit computes exactly the columns the model keeps, in its order."""
+    grid = HexGrid(9, REGION_OF["KIEL"].lat0, REGION_OF["KIEL"].lon0)
+    nodes_df, edges_df = aggregate(to_spark(spark, kiel_trips.head(200)), grid)
+    assert nodes_df.columns == list(NODE_COLUMNS)
+    assert edges_df.columns == list(EDGE_COLUMNS)
+
+
 def test_aggregate_plan_has_no_python_udf(spark, kiel_trips):
     """Cell assignment and grid distance run as native expressions: the
     aggregation plans hold no Python evaluation node."""
@@ -107,7 +115,7 @@ def test_drop_small_trips(spark, kiel_trips):
     """Trips spanning < 3 distinct cells at a coarse resolution are dropped."""
     grid = HexGrid(4, REGION_OF["KIEL"].lat0, REGION_OF["KIEL"].lon0)  # ~22.6 km cells
     df = with_cells(to_spark(spark, kiel_trips), grid)
-    kept = drop_small_trips(df, min_cells=3)
+    kept = drop_small_trips(df)
     spans = kept.groupBy("trip_id").agg(F.count_distinct("cl").alias("n")).toPandas()
     assert (spans["n"] >= 3).all()
 
@@ -124,9 +132,7 @@ def test_cell_stats_match_duckdb_oracle(spark, kiel_cells):
                count(*)             AS cnt,
                count(DISTINCT vessel_id) AS nves,
                median(lon)          AS mlon,
-               median(lat)          AS mlat,
-               median(sog)          AS msog,
-               median(cog)          AS mcog
+               median(lat)          AS mlat
         FROM pts GROUP BY cl
         """,
         pts=pdf,
@@ -203,7 +209,7 @@ def test_graph_follows_route_adjacency(spark, kiel_cells):
 
 def test_aggregate_convenience(spark, kiel_trips):
     grid = HexGrid(8, REGION_OF["KIEL"].lat0, REGION_OF["KIEL"].lon0)
-    nodes_df, edges_df = aggregate(to_spark(spark, kiel_trips), grid, exact=True)
+    nodes_df, edges_df = aggregate(to_spark(spark, kiel_trips), grid)
     nodes, edges = nodes_df.toPandas(), edges_df.toPandas()
     assert len(nodes) > 50
     assert len(edges) > 50

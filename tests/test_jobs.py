@@ -1,5 +1,5 @@
-"""The job entrypoints must be importable and wired to the right harnesses
-(they are executed at bench scale outside the test suite)."""
+"""The job entrypoint must be importable and wired to the right harnesses
+(it is executed at bench scale outside the test suite)."""
 import importlib
 import os
 import pathlib
@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+
+from repro.eval import tables
 
 JOBS = pathlib.Path(__file__).parent.parent / "jobs"
 
@@ -16,23 +18,36 @@ def _jobs_on_path(monkeypatch):
     monkeypatch.syspath_prepend(str(JOBS))
 
 
-@pytest.mark.parametrize(
-    "mod,expected",
-    [
-        ("table1_datasets", "table1"),
-        ("table2_storage", "table2"),
-        ("table3_simplification", "table3"),
-        ("table4_latency", "table4"),
-        ("fig3_projection", "fig3_projection"),
-        ("fig5_accuracy", "fig5_accuracy"),
-        ("fig7_gap_durations", "fig7_gap_durations"),
-        ("run_all", "main"),
-    ],
-)
-def test_job_importable_and_has_main(mod, expected):
-    m = importlib.import_module(mod)
-    assert callable(m.main)
-    assert expected in m.main.__code__.co_names or expected == "main"
+SECTIONS = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "fig3_projection",
+    "fig5_accuracy",
+    "fig7_gap_durations",
+]
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_run_all_section_resolves_to_its_harness(section):
+    run_all = importlib.import_module("run_all")
+    assert callable(run_all.main)
+    _, fn, _ = run_all.SECTIONS[section]
+    assert fn is getattr(tables, section)
+
+
+def test_run_all_sections_in_paper_order():
+    """Every section runs, in paper order, when none is named."""
+    assert list(importlib.import_module("run_all").SECTIONS) == SECTIONS
+
+
+def test_run_all_rejects_unknown_section(monkeypatch):
+    """An unknown name exits before any Spark session starts."""
+    run_all = importlib.import_module("run_all")
+    monkeypatch.setattr(run_all, "get_spark", lambda app: pytest.fail("Spark started"))
+    with pytest.raises(SystemExit, match="unknown section table5"):
+        run_all.main(["table1", "table5"])
 
 
 def test_common_bench_sf(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.ais.datasets import to_spark
-from repro.core.preprocess import clean, preprocess, segment_trips
+from repro.core.preprocess import MIN_POINTS, clean, preprocess, segment_trips
 from repro.geo.geodesy import KNOT_MS, haversine_m
 
 
@@ -111,13 +111,14 @@ def test_segment_keeps_short_gap(spark):
 
 
 def test_segment_drops_tiny_trips(spark):
-    rows = _moving_leg("A", 0, 3)  # below min_points=5
+    rows = _moving_leg("A", 0, 3)  # below MIN_POINTS
     assert segment_trips(_mk(spark, rows)).count() == 0
 
 
-def test_segment_min_points_configurable(spark):
-    rows = _moving_leg("A", 0, 3)
-    assert segment_trips(_mk(spark, rows), min_points=3).count() == 3
+def test_segment_keeps_trip_of_min_points(spark):
+    """A leg of exactly ``MIN_POINTS`` positions is a trip; one fewer is not."""
+    assert segment_trips(_mk(spark, _moving_leg("A", 0, MIN_POINTS))).count() == MIN_POINTS
+    assert segment_trips(_mk(spark, _moving_leg("A", 0, MIN_POINTS - 1))).count() == 0
 
 
 def test_segment_trip_ids_unique_per_vessel(spark):
