@@ -29,7 +29,10 @@ def interpolate_ts(
 ) -> pd.DatetimeIndex:
     """Timestamps of a path's vertices, from ``start_ts`` at the first to
     ``end_ts`` at the last, spread in proportion to along-path (haversine)
-    distance; evenly when the path has zero length."""
+    distance; evenly when the path has zero length. Raises ``ValueError``
+    when ``end_ts`` is before ``start_ts``."""
+    if end_ts < start_ts:
+        raise ValueError(f"gap ends before it starts: end_ts {end_ts} < start_ts {start_ts}")
     seg = haversine_m(lon[:-1], lat[:-1], lon[1:], lat[1:])
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     frac = cum / cum[-1] if cum[-1] > 0 else np.linspace(0.0, 1.0, lon.size)

@@ -8,7 +8,11 @@ parameters and answers imputation queries:
    nodes' median positions);
 2. A* over the transition graph, minimizing the number of transitions, with
    the hex grid distance as heuristic (scaled by the maximum edge span so it
-   stays admissible even for transitions that skip cells);
+   stays admissible even for transitions that skip cells). A reachability
+   index prunes it: each node carries the topological number of its
+   strongly connected component, and no edge leads to a lower number, so a
+   start numbered above the target has no path (answered at O(1) cost) and
+   a successor numbered above the target is never queued;
 3. inverse projection of the cell path to coordinates — parameter
    ``p='c'`` uses geometric cell centers, ``p='w'`` the data-driven per-cell
    median position (the paper's information-loss mitigation, Figure 2);
@@ -16,9 +20,11 @@ parameters and answers imputation queries:
    straight line (flagged in the result).
 
 The graph is held as arrays derived from the tables: a cell -> row index
-map, per-node positions and axial coordinates, and each row's successor
-rows (laid out through a CSR, compressed sparse row, adjacency). Queries
-run on plain Python numbers, one point or one path at a time.
+map, per-node positions and axial coordinates, each row's successor rows
+(laid out through a CSR, compressed sparse row, adjacency) and each row's
+component number. None of them is stored: pickling and persistence carry
+the tables only. Queries run on plain Python numbers, one point or one path
+at a time.
 """
 from __future__ import annotations
 
@@ -52,6 +58,57 @@ def csr(n: int, src, dst) -> tuple[np.ndarray, np.ndarray]:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return indptr, np.argsort(src, kind="stable")
+
+
+def scc_topo(succ: list[tuple[int, ...]]) -> list[int]:
+    """Topological number of each node's strongly connected component (SCC)
+    in the graph whose node ``u`` has the successors ``succ[u]``.
+
+    Nodes share a number exactly when they reach each other, and an edge
+    never leads to a lower number, so ``topo[u] > topo[v]`` proves that no
+    path leads from ``u`` to ``v``. Tarjan's algorithm (SIAM J. Comput.
+    1972), with an explicit stack in place of recursion: it completes the
+    SCCs in reverse topological order, so the k-th of ``m`` is numbered
+    ``m - 1 - k``.
+    """
+    n = len(succ)
+    index = [-1] * n  # DFS preorder number; -1: not yet visited
+    low = [0] * n  # lowest preorder number reachable through the DFS subtree
+    done = [-1] * n  # completion order of the node's SCC; -1: still open
+    stack: list[int] = []  # visited nodes whose SCC is still open
+    visited = completed = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            u, rest = work[-1]
+            for v in rest:
+                if index[v] == -1:  # tree edge: descend, resume u later
+                    index[v] = low[v] = visited
+                    visited += 1
+                    stack.append(v)
+                    work.append((v, iter(succ[v])))
+                    break
+                if done[v] == -1 and index[v] < low[u]:  # v is on the stack
+                    low[u] = index[v]
+            else:
+                work.pop()
+                if low[u] == index[u]:  # u roots an SCC: pop it
+                    while True:
+                        w = stack.pop()
+                        done[w] = completed
+                        if w == u:
+                            break
+                    completed += 1
+                if work:
+                    p = work[-1][0]
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+    return [completed - 1 - k for k in done]
 
 
 def _table(df: pd.DataFrame, columns: dict[str, str]) -> pd.DataFrame:
@@ -88,7 +145,9 @@ class HabitModel:
     ``nodes`` has the :data:`NODE_COLUMNS`, one row per cell; ``edges`` has
     the :data:`EDGE_COLUMNS`, one row per transition, and is held ordered by
     source in node-table order (edge-table order within a source). Every
-    edge endpoint must be a node.
+    edge endpoint must be a node. ``topo`` holds each node's
+    :func:`scc_topo` number, in node-table order; it is rebuilt from the
+    tables, never stored.
     """
 
     def __init__(self, grid: HexGrid, nodes: pd.DataFrame, edges: pd.DataFrame):
@@ -120,6 +179,7 @@ class HabitModel:
         self._q: list[int] = q.tolist()
         self._r: list[int] = r.tolist()
         self._max_span = max(1, int(edges["gdist"].max()) if len(edges) else 1)
+        self.topo: list[int] = scc_topo(self._succ)
 
     def __reduce__(self):
         # Pickle (broadcast) the tables only; the arrays are rebuilt on load.
@@ -146,11 +206,17 @@ class HabitModel:
         (admissible: every transition covers at most ``max_span`` hops).
         Returns None when no directed path exists. Queue order, tie-breaks
         and re-opening follow ``networkx.astar_path``, so both return the
-        same path.
+        same path: the component numbers only drop rows that cannot reach
+        the target, whose successors cannot reach it either, so every push,
+        pop and cost of the rows that can reach it is kept, in order.
         """
         s = self._index.get(s_node)
         t = self._index.get(e_node)
         if s is None or t is None:
+            return None
+        topo = self.topo
+        ttopo = topo[t]
+        if topo[s] > ttopo:  # no edge leads to a lower number
             return None
         succ, q, r = self._succ, self._q, self._r
         span = float(self._max_span)
@@ -182,6 +248,8 @@ class HabitModel:
             parent_of[cur] = parent
             ncost = dist + 1.0
             for v in succ[cur]:
+                if topo[v] > ttopo:  # v cannot reach t
+                    continue
                 queued = cost[v]
                 if queued is None:
                     dq = q[v] - tq

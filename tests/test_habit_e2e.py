@@ -87,6 +87,23 @@ def test_batch_spark_rejects_non_finite(spark, habit9, kiel_gaps):
         habit9.impute_batch_spark(spark, to_spark(spark, gaps)).collect()
 
 
+def test_impute_with_ts_rejects_reversed_times(habit9, kiel_gaps):
+    g = kiel_gaps[0]
+    with pytest.raises(ValueError, match="ends before it starts"):
+        habit9.impute_with_ts(
+            g.start_lon, g.start_lat, g.end_ts, g.end_lon, g.end_lat, g.start_ts
+        )
+
+
+def test_batch_spark_rejects_reversed_times(spark, habit9, kiel_gaps):
+    """A gap that ends before it starts fails the batch job instead of
+    getting decreasing timestamps."""
+    gaps = gaps_to_pandas(kiel_gaps[:2])
+    gaps.loc[1, ["start_ts", "end_ts"]] = gaps.loc[1, ["end_ts", "start_ts"]].to_numpy()
+    with pytest.raises(Exception, match="ends before it starts"):
+        habit9.impute_batch_spark(spark, to_spark(spark, gaps)).collect()
+
+
 def test_batch_spark_matches_driver(spark, habit9, kiel_gaps):
     """Distributed inference must equal the driver-side loop."""
     gaps_df = to_spark(spark, gaps_to_pandas(kiel_gaps))

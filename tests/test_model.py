@@ -1,6 +1,7 @@
 """Unit tests for HabitModel (A* imputation, snapping, inverse projection)
 on small hand-built node/edge tables, with NetworkX as the search oracle."""
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import repro
 from repro.core import storage
 from repro.core.model import HabitModel, csr
-from repro.hexgrid.hex import HexGrid, grid_distance
+from repro.hexgrid.hex import HexGrid, grid_distance, pack
 
 GRID = HexGrid(8, 56.0, 11.5)
 
@@ -239,8 +240,30 @@ def _random_tables(draw):
     return _node_table(cells, lon, lat), _edge_table(src, dst)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_random_tables())
+@st.composite
+def _sparse_tables(draw):
+    """Node/edge tables of a sparse, mostly acyclic digraph over real hex
+    cells: most edges lead forward in the drawn cell order and a few lead
+    back, so the graph has several strongly connected components, and
+    paths pass through chains of them."""
+    cells = draw(st.lists(st.sampled_from(RING), unique=True, min_size=1, max_size=16))
+    ix = st.integers(0, len(cells) - 1)
+    forward = draw(st.lists(st.tuples(ix, ix), max_size=2 * len(cells)))
+    back = draw(st.lists(st.tuples(ix, ix), max_size=3))
+    hops = [(min(a, b), max(a, b)) for a, b in forward if a != b]
+    hops += [(max(a, b), min(a, b)) for a, b in back]
+    src, dst = zip(*dict.fromkeys(hops)) if hops else ((), ())
+    lon, lat = GRID.cell_center(np.asarray(cells, dtype=np.int64))
+    return _node_table(cells, lon, lat), _edge_table([cells[i] for i in src], [cells[i] for i in dst])
+
+
+#: Random digraphs with up to 40 edges over 12 cells, and sparse, mostly
+#: acyclic ones whose paths cross chains of components over up to 16 cells.
+TABLES = st.one_of(_random_tables(), _sparse_tables())
+
+
+@settings(max_examples=200, deadline=None)
+@given(TABLES)
 def test_cell_path_equals_networkx_astar(tables):
     """Same path as ``nx.astar_path`` with the hex heuristic, None exactly
     when NetworkX finds no path, and a shortest path."""
@@ -265,6 +288,94 @@ def test_cell_path_equals_networkx_astar(tables):
             assert got == want
             if got is not None:
                 assert len(got) - 1 == nx.shortest_path_length(g, s, t)
+
+
+# --- reachability index -----------------------------------------------------
+
+def _components(model: HabitModel) -> set[frozenset]:
+    """The model's node sets that share a component number."""
+    groups: dict[int, set] = {}
+    for cell, k in zip(model.nodes["cl"].tolist(), model.topo):
+        groups.setdefault(k, set()).add(cell)
+    return {frozenset(c) for c in groups.values()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(TABLES)
+def test_topo_numbers_strongly_connected_components(tables):
+    """Nodes share a number exactly when NetworkX puts them in one strongly
+    connected component, and no edge leads to a lower number."""
+    nodes, edges = tables
+    model = HabitModel(grid=GRID, nodes=nodes, edges=edges)
+    g = _digraph(nodes, edges)
+    assert _components(model) == {frozenset(c) for c in nx.strongly_connected_components(g)}
+    number = dict(zip(model.nodes["cl"].tolist(), model.topo))
+    for u, v in g.edges:
+        assert number[u] <= number[v]
+
+
+def _deep_tables(n: int, *, cycle: bool):
+    """A directed chain of ``n`` cells in a 400-cell-wide block of the grid,
+    closed into a cycle when ``cycle``."""
+    q, r = np.divmod(np.arange(n), 400)
+    cells = pack(GRID.res, q, r)
+    lon, lat = GRID.cell_center(cells)
+    src, dst = cells[:-1], cells[1:]
+    if cycle:
+        src, dst = np.append(src, cells[-1]), np.append(dst, cells[0])
+    return cells.tolist(), _node_table(cells, lon, lat), _edge_table(src, dst)
+
+
+def test_deep_chain_and_cycle_build():
+    """The index is built without recursion: a 100,000-cell chain has one
+    component per cell, a 100,000-cell cycle has one."""
+    cells, nodes, edges = _deep_tables(100_000, cycle=False)
+    model = HabitModel(grid=GRID, nodes=nodes, edges=edges)
+    assert len(set(model.topo)) == 100_000
+    assert model.cell_path(cells[-1], cells[0]) is None
+    cells, nodes, edges = _deep_tables(100_000, cycle=True)
+    assert set(HabitModel(grid=GRID, nodes=nodes, edges=edges).topo) == {0}
+
+
+def test_index_of_graphs_without_edges():
+    empty = HabitModel(grid=GRID, nodes=pd.DataFrame(), edges=pd.DataFrame())
+    assert empty.topo == []
+    cells = RING[:3]
+    lon, lat = GRID.cell_center(np.asarray(cells, dtype=np.int64))
+    model = HabitModel(grid=GRID, nodes=_node_table(cells, lon, lat), edges=pd.DataFrame())
+    assert sorted(model.topo) == [0, 1, 2]
+    assert model.cell_path(cells[1], cells[1]) == [cells[1]]  # a singleton component
+    assert model.cell_path(cells[0], cells[1]) is None
+
+
+def _fork_tables():
+    """A chain with a two-cell loop in its middle and a dead-end branch."""
+    cells = RING[:6]
+    lon, lat = GRID.cell_center(np.asarray(cells, dtype=np.int64))
+    a, b, c, d, e, f = cells
+    edges = _edge_table([a, b, c, c, e], [b, c, b, d, f])
+    return _node_table(cells, lon, lat), edges
+
+
+def test_index_is_rebuilt_on_load(tmp_path):
+    model = HabitModel(GRID, *_fork_tables())
+    assert len(set(model.topo)) == 5
+    storage.save(model, tmp_path)
+    assert storage.load(tmp_path).topo == model.topo
+    assert pickle.loads(pickle.dumps(model)).topo == model.topo
+
+
+def test_index_is_not_stored():
+    """Persistence and the broadcast payload carry the tables only: the
+    parquet bytes are those of the two tables, and the pickle is as long
+    as one of the class and its (grid, nodes, edges) arguments (the same
+    opcodes, with REDUCE in place of the pair's TUPLE2)."""
+    model = HabitModel(GRID, *_fork_tables())
+    tables = (model.grid, model.nodes, model.edges)
+    assert storage.storage_bytes(model) == (
+        storage.parquet_bytes(model.nodes) + storage.parquet_bytes(model.edges)
+    )
+    assert len(pickle.dumps(model)) == len(pickle.dumps((HabitModel, tables)))
 
 
 # --- tables and degenerate inputs ---------------------------------------------
