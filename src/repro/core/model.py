@@ -8,11 +8,13 @@ parameters and answers imputation queries:
    nodes' median positions);
 2. A* over the transition graph, minimizing the number of transitions, with
    the hex grid distance as heuristic (scaled by the maximum edge span so it
-   stays admissible even for transitions that skip cells). A reachability
-   index prunes it: each node carries the topological number of its
-   strongly connected component, and no edge leads to a lower number, so a
-   start numbered above the target has no path (answered at O(1) cost) and
-   a successor numbered above the target is never queued;
+   stays admissible even for transitions that skip cells). It searches only
+   the nodes that lie on some shortest path, which a bidirectional
+   breadth-first search finds first. A reachability index prunes both
+   searches: each node carries the topological number of its strongly
+   connected component, and no edge leads to a lower number, so a start
+   numbered above the target has no path (answered at O(1) cost) and no
+   node numbered outside the start's and the target's numbers is entered;
 3. inverse projection of the cell path to coordinates — parameter
    ``p='c'`` uses geometric cell centers, ``p='w'`` the data-driven per-cell
    median position (the paper's information-loss mitigation, Figure 2);
@@ -20,11 +22,11 @@ parameters and answers imputation queries:
    straight line (flagged in the result).
 
 The graph is held as arrays derived from the tables: a cell -> row index
-map, per-node positions and axial coordinates, each row's successor rows
-(laid out through a CSR, compressed sparse row, adjacency) and each row's
-component number. None of them is stored: pickling and persistence carry
-the tables only. Queries run on plain Python numbers, one point or one path
-at a time.
+map, per-node positions and axial coordinates, each row's successor and
+predecessor rows (laid out through CSR, compressed sparse row, adjacencies)
+and each row's component number. None of them is stored: pickling and
+persistence carry the tables only. Queries run on plain Python numbers, one
+point or one path at a time.
 """
 from __future__ import annotations
 
@@ -111,6 +113,71 @@ def scc_topo(succ: list[tuple[int, ...]]) -> list[int]:
     return [completed - 1 - k for k in done]
 
 
+def shortest_path_rows(
+    succ: list[tuple[int, ...]], pred: list[tuple[int, ...]], topo: list[int], s: int, t: int
+) -> set[int] | None:
+    """The nodes that lie on some shortest path from ``s`` to ``t``, counting
+    one per edge, in the graph whose node ``u`` has the successors
+    ``succ[u]``, the predecessors ``pred[u]`` and the :func:`scc_topo`
+    number ``topo[u]``; None when no path leads from ``s`` to ``t``.
+
+    A bidirectional breadth-first search (Pohl, Machine Intelligence 6,
+    1971): each round expands one full level of the smaller frontier, the
+    forward one from ``s`` over ``succ`` or the backward one from ``t`` over
+    ``pred``. Neither enters a node numbered above ``topo[t]`` (it cannot
+    reach ``t``) or below ``topo[s]`` (``s`` cannot reach it). The balls
+    first meet in a level in which every met node is ``D`` edges from ``s``
+    to ``t`` through it, ``D`` being the shortest distance, and the full
+    level holds every node of a shortest path at its depth. The walks from
+    them back to ``s`` through nodes one forward level nearer, and on to
+    ``t`` through nodes one backward level nearer, collect the rest. The
+    state grows with the nodes visited, not with the graph.
+    """
+    lo, hi = topo[s], topo[t]
+    if lo > hi:  # no edge leads to a lower number
+        return None
+    if s == t:
+        return {s}
+    fronts = [[s], [t]]  # forward, backward
+    dists = ({s: 0}, {t: 0})  # hops from s, hops to t
+    adjs = (succ, pred)
+    met: list[int] = []
+    while not met:
+        side = len(fronts[0]) > len(fronts[1])
+        front, adj, mine, other = fronts[side], adjs[side], dists[side], dists[not side]
+        d = mine[front[0]] + 1
+        grown = []
+        for u in front:
+            for v in adj[u]:
+                if v in mine or not lo <= topo[v] <= hi:
+                    continue
+                mine[v] = d
+                grown.append(v)
+                if v in other:
+                    met.append(v)
+        if not grown:  # one ball is complete without meeting the other
+            return None
+        fronts[side] = grown
+    rows = set(met)
+    for adj, dist in ((pred, dists[0]), (succ, dists[1])):
+        stack = list(met)
+        while stack:
+            u = stack.pop()
+            d = dist[u] - 1
+            for v in adj[u]:
+                if dist.get(v) == d and v not in rows:
+                    rows.add(v)
+                    stack.append(v)
+    return rows
+
+
+def _adjacency(indptr: np.ndarray, nbr: np.ndarray) -> list[tuple[int, ...]]:
+    """Each node's neighbours ``nbr[indptr[u]:indptr[u + 1]]`` as a tuple."""
+    bounds = indptr.tolist()
+    nbr = nbr.tolist()
+    return [tuple(nbr[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def _table(df: pd.DataFrame, columns: dict[str, str]) -> pd.DataFrame:
     """``df`` reduced to ``columns`` (name -> dtype), in that order; an empty
     frame may lack the columns altogether."""
@@ -146,8 +213,8 @@ class HabitModel:
     the :data:`EDGE_COLUMNS`, one row per transition, and is held ordered by
     source in node-table order (edge-table order within a source). Every
     edge endpoint must be a node. ``topo`` holds each node's
-    :func:`scc_topo` number, in node-table order; it is rebuilt from the
-    tables, never stored.
+    :func:`scc_topo` number, in node-table order; like the successor and
+    predecessor rows, it is rebuilt from the tables, never stored.
     """
 
     def __init__(self, grid: HexGrid, nodes: pd.DataFrame, edges: pd.DataFrame):
@@ -166,12 +233,11 @@ class HabitModel:
             raise ValueError("edge endpoint missing from the node table")
         indptr, order = csr(cells.size, src, dst)
         self.edges = edges.take(order).reset_index(drop=True)
-        bounds = indptr.tolist()
-        nbr = dst[order].tolist()
-        # successors of each row, in held edge order
-        self._succ: list[tuple[int, ...]] = [
-            tuple(nbr[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
-        ]
+        src, dst = src[order], dst[order]
+        # successors and predecessors of each row, in held edge order
+        self._succ: list[tuple[int, ...]] = _adjacency(indptr, dst)
+        pindptr, porder = csr(cells.size, dst, src)
+        self._pred: list[tuple[int, ...]] = _adjacency(pindptr, src[porder])
         self._mlon = self.nodes["mlon"].to_numpy()
         self._mlat = self.nodes["mlat"].to_numpy()
         self._x, self._y = grid.project(self._mlon, self._mlat)
@@ -205,29 +271,36 @@ class HabitModel:
         A* with unit edge cost; heuristic = hex distance / max edge span
         (admissible: every transition covers at most ``max_span`` hops).
         Returns None when no directed path exists. Queue order, tie-breaks
-        and re-opening follow ``networkx.astar_path``, so both return the
-        same path: the component numbers only drop rows that cannot reach
-        the target, whose successors cannot reach it either, so every push,
-        pop and cost of the rows that can reach it is kept, in order.
+        and re-opening follow ``networkx.astar_path``, and although the
+        search enters only the rows :func:`shortest_path_rows` returns, both
+        return the same path. The heuristic changes by at most 1 per edge,
+        so every row pops first at its shortest distance, with the
+        earliest-popped predecessor one hop nearer the start as its parent;
+        for a row on a shortest path, every such predecessor is on one too.
+        Rows off every shortest path push such a row only at a longer
+        distance, which never pops first, and the push counter keeps the
+        other pushes in order. So the pops, parents and ties of the rows on
+        shortest paths, and with them the path, are unchanged.
         """
         s = self._index.get(s_node)
         t = self._index.get(e_node)
         if s is None or t is None:
             return None
-        topo = self.topo
-        ttopo = topo[t]
-        if topo[s] > ttopo:  # no edge leads to a lower number
+        rows = shortest_path_rows(self._succ, self._pred, self.topo, s, t)
+        if rows is None:
             return None
         succ, q, r = self._succ, self._q, self._r
         span = float(self._max_span)
         tq, tr = q[t], r[t]
-        # Per-row search state: the cost each row was last queued at (None:
-        # never), its heuristic, and its parent once expanded (-1: not yet;
-        # None: the source).
-        n = len(succ)
-        cost: list[float | None] = [None] * n
-        heur = [0.0] * n
-        parent_of: list[int | None] = [-1] * n
+        heur = {}  # row -> heuristic, for the rows on a shortest path only
+        for v in rows:
+            dq = q[v] - tq
+            dr = r[v] - tr
+            heur[v] = ((abs(dq) + abs(dr) + abs(dq + dr)) // 2) / span
+        # Per-row search state: the cost each row was last queued at, and
+        # its parent once expanded (None: the source).
+        cost: dict[int, float] = {}
+        parent_of: dict[int, int | None] = {}
         c = 0  # push counter: equal f values pop first-in first-out
         queue = [(0, c, s, 0, None)]
         while queue:
@@ -239,26 +312,20 @@ class HabitModel:
                     path.append(node)
                     node = parent_of[node]
                 return [self._cells[i] for i in reversed(path)]
-            seen = parent_of[cur]
-            if seen != -1:
-                if seen is None:  # the source: never re-parented
+            if cur in parent_of:
+                if parent_of[cur] is None:  # the source: never re-parented
                     continue
                 if cost[cur] < dist:  # stale entry: a cheaper one exists
                     continue
             parent_of[cur] = parent
             ncost = dist + 1.0
             for v in succ[cur]:
-                if topo[v] > ttopo:  # v cannot reach t
+                h = heur.get(v)
+                if h is None:  # v lies on no shortest path
                     continue
-                queued = cost[v]
-                if queued is None:
-                    dq = q[v] - tq
-                    dr = r[v] - tr
-                    h = heur[v] = ((abs(dq) + abs(dr) + abs(dq + dr)) // 2) / span
-                elif queued <= ncost:
+                queued = cost.get(v)
+                if queued is not None and queued <= ncost:
                     continue
-                else:
-                    h = heur[v]
                 cost[v] = ncost
                 c += 1
                 heappush(queue, (ncost + h, c, v, ncost, cur))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core import storage
-from repro.core.model import HabitModel, csr
+from repro.core.model import HabitModel, csr, shortest_path_rows
 from repro.hexgrid.hex import HexGrid, grid_distance, pack
 
 GRID = HexGrid(8, 56.0, 11.5)
@@ -257,14 +257,52 @@ def _sparse_tables(draw):
     return _node_table(cells, lon, lat), _edge_table([cells[i] for i in src], [cells[i] for i in dst])
 
 
-#: Random digraphs with up to 40 edges over 12 cells, and sparse, mostly
-#: acyclic ones whose paths cross chains of components over up to 16 cells.
-TABLES = st.one_of(_random_tables(), _sparse_tables())
+def _disc(k: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """The cells of a hex disc of radius ``k`` and its directed 6-neighbour
+    edges."""
+    cells = np.asarray(GRID.k_ring(int(GRID.to_cell(11.5, 56.0)), k), dtype=np.int64)
+    a, b = np.nonzero(grid_distance(cells[:, None], cells[None, :]) == 1)
+    return cells.tolist(), list(zip(cells[a].tolist(), cells[b].tolist()))
+
+
+#: Hex discs of radius 4 and 5 (61 and 91 cells) around RING's center.
+DISCS = {k: _disc(k) for k in (4, 5)}
+
+
+@st.composite
+def _disc_tables(draw):
+    """Node/edge tables of a tie-heavy digraph: a hex disc, in a drawn node
+    order, in which all but a few 6-neighbour edges exist in both
+    directions, plus a few long skips. It has many equally short paths, and
+    searches from both ends run several levels before they meet."""
+    cells, arcs = DISCS[draw(st.sampled_from(sorted(DISCS)))]
+    cells = draw(st.permutations(cells))
+    dropped = set(draw(st.lists(st.sampled_from(arcs), max_size=len(arcs) // 8)))
+    skips = draw(st.lists(st.tuples(st.sampled_from(cells), st.sampled_from(cells)), max_size=4))
+    hops = [a for a in arcs if a not in dropped] + [(a, b) for a, b in skips if a != b]
+    src, dst = zip(*dict.fromkeys(hops))
+    lon, lat = GRID.cell_center(np.asarray(cells, dtype=np.int64))
+    return _node_table(cells, lon, lat), _edge_table(src, dst)
+
+
+#: Random digraphs with up to 40 edges over 12 cells, sparse, mostly
+#: acyclic ones whose paths cross chains of components over up to 16
+#: cells, and tie-heavy hex discs of 61 or 91 cells.
+TABLES = st.one_of(_random_tables(), _sparse_tables(), _disc_tables())
+
+
+def _pairs(data, cells: list[int]) -> list[tuple[int, int]]:
+    """Every (start, target) pair of a small graph; 20 drawn ones of a
+    larger one."""
+    pairs = [(s, t) for s in cells for t in cells]
+    if len(pairs) <= 256:
+        return pairs
+    return data.draw(st.lists(st.sampled_from(pairs), min_size=20, max_size=20))
 
 
 @settings(max_examples=200, deadline=None)
-@given(TABLES)
-def test_cell_path_equals_networkx_astar(tables):
+@given(TABLES, st.data())
+def test_cell_path_equals_networkx_astar(tables, data):
     """Same path as ``nx.astar_path`` with the hex heuristic, None exactly
     when NetworkX finds no path, and a shortest path."""
     nodes, edges = tables
@@ -278,16 +316,35 @@ def test_cell_path_equals_networkx_astar(tables):
     cells = nodes["cl"].tolist()
     if not cells:
         assert model.cell_path(RING[0], RING[1]) is None
-    for s in cells:
-        for t in cells:
-            try:
-                want = nx.astar_path(g, s, t, heuristic=h, weight=lambda a, b, d: 1.0)
-            except nx.NetworkXNoPath:
-                want = None
-            got = model.cell_path(s, t)
-            assert got == want
-            if got is not None:
-                assert len(got) - 1 == nx.shortest_path_length(g, s, t)
+    for s, t in _pairs(data, cells):
+        try:
+            want = nx.astar_path(g, s, t, heuristic=h, weight=lambda a, b, d: 1.0)
+        except nx.NetworkXNoPath:
+            want = None
+        got = model.cell_path(s, t)
+        assert got == want
+        if got is not None:
+            assert len(got) - 1 == nx.shortest_path_length(g, s, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TABLES, st.data())
+def test_shortest_path_rows_are_the_nodes_on_shortest_paths(tables, data):
+    """The rows the search is confined to are exactly the nodes ``v`` with
+    d(s, v) + d(v, t) = d(s, t), and None exactly when t is unreachable."""
+    nodes, edges = tables
+    model = HabitModel(grid=GRID, nodes=nodes, edges=edges)
+    g = _digraph(nodes, edges)
+    cells = nodes["cl"].tolist()
+    for s, t in _pairs(data, cells):
+        rows = shortest_path_rows(model._succ, model._pred, model.topo, cells.index(s), cells.index(t))
+        from_s = nx.single_source_shortest_path_length(g, s)
+        to_t = nx.single_source_shortest_path_length(g.reverse(copy=False), t)
+        if t not in from_s:
+            assert rows is None
+            continue
+        want = {v for v in from_s.keys() & to_t.keys() if from_s[v] + to_t[v] == from_s[t]}
+        assert {cells[i] for i in rows} == want
 
 
 # --- reachability index -----------------------------------------------------
@@ -327,14 +384,19 @@ def _deep_tables(n: int, *, cycle: bool):
 
 
 def test_deep_chain_and_cycle_build():
-    """The index is built without recursion: a 100,000-cell chain has one
-    component per cell, a 100,000-cell cycle has one."""
+    """The index is built and the paths are found without recursion: a
+    100,000-cell chain has one component per cell and a path through all
+    of them, a 100,000-cell cycle has one component and closes in one
+    hop."""
     cells, nodes, edges = _deep_tables(100_000, cycle=False)
     model = HabitModel(grid=GRID, nodes=nodes, edges=edges)
     assert len(set(model.topo)) == 100_000
     assert model.cell_path(cells[-1], cells[0]) is None
+    assert model.cell_path(cells[0], cells[-1]) == cells
     cells, nodes, edges = _deep_tables(100_000, cycle=True)
-    assert set(HabitModel(grid=GRID, nodes=nodes, edges=edges).topo) == {0}
+    model = HabitModel(grid=GRID, nodes=nodes, edges=edges)
+    assert set(model.topo) == {0}
+    assert model.cell_path(cells[-1], cells[0]) == [cells[-1], cells[0]]
 
 
 def test_index_of_graphs_without_edges():
@@ -358,19 +420,27 @@ def _fork_tables():
 
 
 def test_index_is_rebuilt_on_load(tmp_path):
-    model = HabitModel(GRID, *_fork_tables())
+    """The component numbers and the predecessor rows are derived again,
+    equal, from the held tables; the edges are given out of source order,
+    so predecessor rows taken from the input order would differ."""
+    nodes, edges = _fork_tables()
+    model = HabitModel(GRID, nodes, edges.iloc[::-1])
     assert len(set(model.topo)) == 5
+    assert model._pred[1] == (0, 2)
     storage.save(model, tmp_path)
-    assert storage.load(tmp_path).topo == model.topo
-    assert pickle.loads(pickle.dumps(model)).topo == model.topo
+    for copy in (storage.load(tmp_path), pickle.loads(pickle.dumps(model))):
+        assert copy.topo == model.topo
+        assert copy._pred == model._pred
 
 
 def test_index_is_not_stored():
-    """Persistence and the broadcast payload carry the tables only: the
+    """Persistence and the broadcast payload carry the tables only, not
+    the component numbers or the successor and predecessor rows: the
     parquet bytes are those of the two tables, and the pickle is as long
     as one of the class and its (grid, nodes, edges) arguments (the same
     opcodes, with REDUCE in place of the pair's TUPLE2)."""
     model = HabitModel(GRID, *_fork_tables())
+    assert any(model._pred) and any(model._succ)
     tables = (model.grid, model.nodes, model.edges)
     assert storage.storage_bytes(model) == (
         storage.parquet_bytes(model.nodes) + storage.parquet_bytes(model.edges)
