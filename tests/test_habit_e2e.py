@@ -105,15 +105,23 @@ def test_batch_spark_rejects_reversed_times(spark, habit9, kiel_gaps):
 
 
 def test_batch_spark_matches_driver(spark, habit9, kiel_gaps):
-    """Distributed inference must equal the driver-side loop."""
+    """Distributed inference must equal the driver-side loop exactly: every
+    column of every gap, timestamps included."""
     gaps_df = to_spark(spark, gaps_to_pandas(kiel_gaps))
     out = habit9.impute_batch_spark(spark, gaps_df).toPandas()
+    assert list(out.columns) == ["gap_id", "seq", "lon", "lat", "ts"]
+    assert set(out["gap_id"]) == {g.gap_id for g in kiel_gaps}
     for g in kiel_gaps:
         got = out[out["gap_id"] == g.gap_id].sort_values("seq")
-        ref = habit9.impute(g.start_lon, g.start_lat, g.end_lon, g.end_lat)
-        assert len(got) == ref.lon.size
-        assert np.allclose(got["lon"].to_numpy(), ref.lon)
-        assert np.allclose(got["lat"].to_numpy(), ref.lat)
+        ref = habit9.impute_with_ts(
+            g.start_lon, g.start_lat, g.start_ts, g.end_lon, g.end_lat, g.end_ts
+        )
+        assert np.array_equal(got["seq"].to_numpy(), np.arange(len(ref)))
+        for col in ("lon", "lat"):
+            assert np.array_equal(got[col].to_numpy(), ref[col].to_numpy())
+        assert np.array_equal(
+            got["ts"].to_numpy().astype("datetime64[ns]"), ref["ts"].to_numpy()
+        )
 
 
 def test_storage_save_load_roundtrip(tmp_path, habit9, kiel_gaps):
