@@ -1,17 +1,1 @@
 """Synthetic AIS substrate: regions, simulator, datasets, gap injection."""
-from repro.ais.datasets import REGION_OF, dataset, to_spark
-from repro.ais.gaps import Gap, gaps_to_pandas, make_gaps, split_trips
-from repro.ais.region import DAN_REGION, KIEL_REGION, SAR_REGION
-
-__all__ = [
-    "REGION_OF",
-    "dataset",
-    "to_spark",
-    "Gap",
-    "gaps_to_pandas",
-    "make_gaps",
-    "split_trips",
-    "DAN_REGION",
-    "KIEL_REGION",
-    "SAR_REGION",
-]

@@ -1,5 +1,1 @@
 """Baseline imputation methods the paper compares against: GTI and SLI."""
-from repro.baselines.gti import GTI
-from repro.baselines.sli import sli_impute
-
-__all__ = ["GTI", "sli_impute"]

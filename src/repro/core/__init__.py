@@ -1,7 +1,1 @@
 """HABIT — the paper's contribution: preprocess, graphgen, impute, simplify."""
-from repro.core.habit import Habit
-from repro.core.model import HabitModel, ImputedPath
-from repro.core.preprocess import preprocess
-from repro.core.simplify import simplify_path
-
-__all__ = ["Habit", "HabitModel", "ImputedPath", "preprocess", "simplify_path"]

@@ -75,6 +75,8 @@ class Habit:
     """The configurable HABIT framework (parameters r, p, t of the paper)."""
 
     def __init__(self, *, res: int, p: str = "w", t: float = 100.0):
+        if p not in ("c", "w"):
+            raise ValueError(f"unknown projection option {p!r} (use 'c' or 'w')")
         self.res = res
         self.p = p
         self.t = t

@@ -10,11 +10,8 @@ parameters and answers imputation queries:
    the hex grid distance as heuristic (scaled by the maximum edge span so it
    stays admissible even for transitions that skip cells). It searches only
    the nodes that lie on some shortest path, which a bidirectional
-   breadth-first search finds first. A reachability index prunes both
-   searches: each node carries the topological number of its strongly
-   connected component, and no edge leads to a lower number, so a start
-   numbered above the target has no path (answered at O(1) cost) and no
-   node numbered outside the start's and the target's numbers is entered;
+   breadth-first search finds first; that search also decides whether any
+   path exists;
 3. inverse projection of the cell path to coordinates — parameter
    ``p='c'`` uses geometric cell centers, ``p='w'`` the data-driven per-cell
    median position (the paper's information-loss mitigation, Figure 2);
@@ -22,11 +19,10 @@ parameters and answers imputation queries:
    straight line (flagged in the result).
 
 The graph is held as arrays derived from the tables: a cell -> row index
-map, per-node positions and axial coordinates, each row's successor and
-predecessor rows (laid out through CSR, compressed sparse row, adjacencies)
-and each row's component number. None of them is stored: pickling and
-persistence carry the tables only. Queries run on plain Python numbers, one
-point or one path at a time.
+map, per-node positions and axial coordinates, and each row's successor and
+predecessor rows (laid out through CSR, compressed sparse row, adjacencies).
+None of them is stored: pickling and persistence carry the tables only.
+Queries run on plain Python numbers, one point or one path at a time.
 """
 from __future__ import annotations
 
@@ -62,80 +58,27 @@ def csr(n: int, src, dst) -> tuple[np.ndarray, np.ndarray]:
     return indptr, np.argsort(src, kind="stable")
 
 
-def scc_topo(succ: list[tuple[int, ...]]) -> list[int]:
-    """Topological number of each node's strongly connected component (SCC)
-    in the graph whose node ``u`` has the successors ``succ[u]``.
-
-    Nodes share a number exactly when they reach each other, and an edge
-    never leads to a lower number, so ``topo[u] > topo[v]`` proves that no
-    path leads from ``u`` to ``v``. Tarjan's algorithm (SIAM J. Comput.
-    1972), with an explicit stack in place of recursion: it completes the
-    SCCs in reverse topological order, so the k-th of ``m`` is numbered
-    ``m - 1 - k``.
-    """
-    n = len(succ)
-    index = [-1] * n  # DFS preorder number; -1: not yet visited
-    low = [0] * n  # lowest preorder number reachable through the DFS subtree
-    done = [-1] * n  # completion order of the node's SCC; -1: still open
-    stack: list[int] = []  # visited nodes whose SCC is still open
-    visited = completed = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        index[root] = low[root] = visited
-        visited += 1
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            u, rest = work[-1]
-            for v in rest:
-                if index[v] == -1:  # tree edge: descend, resume u later
-                    index[v] = low[v] = visited
-                    visited += 1
-                    stack.append(v)
-                    work.append((v, iter(succ[v])))
-                    break
-                if done[v] == -1 and index[v] < low[u]:  # v is on the stack
-                    low[u] = index[v]
-            else:
-                work.pop()
-                if low[u] == index[u]:  # u roots an SCC: pop it
-                    while True:
-                        w = stack.pop()
-                        done[w] = completed
-                        if w == u:
-                            break
-                    completed += 1
-                if work:
-                    p = work[-1][0]
-                    if low[u] < low[p]:
-                        low[p] = low[u]
-    return [completed - 1 - k for k in done]
-
-
 def shortest_path_rows(
-    succ: list[tuple[int, ...]], pred: list[tuple[int, ...]], topo: list[int], s: int, t: int
+    succ: list[tuple[int, ...]], pred: list[tuple[int, ...]], s: int, t: int
 ) -> set[int] | None:
     """The nodes that lie on some shortest path from ``s`` to ``t``, counting
     one per edge, in the graph whose node ``u`` has the successors
-    ``succ[u]``, the predecessors ``pred[u]`` and the :func:`scc_topo`
-    number ``topo[u]``; None when no path leads from ``s`` to ``t``.
+    ``succ[u]`` and the predecessors ``pred[u]``; None when no path leads
+    from ``s`` to ``t``.
 
     A bidirectional breadth-first search (Pohl, Machine Intelligence 6,
     1971): each round expands one full level of the smaller frontier, the
     forward one from ``s`` over ``succ`` or the backward one from ``t`` over
-    ``pred``. Neither enters a node numbered above ``topo[t]`` (it cannot
-    reach ``t``) or below ``topo[s]`` (``s`` cannot reach it). The balls
-    first meet in a level in which every met node is ``D`` edges from ``s``
-    to ``t`` through it, ``D`` being the shortest distance, and the full
-    level holds every node of a shortest path at its depth. The walks from
-    them back to ``s`` through nodes one forward level nearer, and on to
-    ``t`` through nodes one backward level nearer, collect the rest. The
-    state grows with the nodes visited, not with the graph.
+    ``pred``. When a round adds no node, that ball holds every node ``s``
+    reaches (or every node that reaches ``t``) without meeting the other,
+    so no path exists. Otherwise the balls first meet in a level in which
+    every met node is ``D`` edges from ``s`` to ``t`` through it, ``D``
+    being the shortest distance, and the full level holds every node of a
+    shortest path at its depth. The walks from them back to ``s`` through
+    nodes one forward level nearer, and on to ``t`` through nodes one
+    backward level nearer, collect the rest. The state grows with the nodes
+    visited, not with the graph.
     """
-    lo, hi = topo[s], topo[t]
-    if lo > hi:  # no edge leads to a lower number
-        return None
     if s == t:
         return {s}
     fronts = [[s], [t]]  # forward, backward
@@ -149,7 +92,7 @@ def shortest_path_rows(
         grown = []
         for u in front:
             for v in adj[u]:
-                if v in mine or not lo <= topo[v] <= hi:
+                if v in mine:
                     continue
                 mine[v] = d
                 grown.append(v)
@@ -212,9 +155,8 @@ class HabitModel:
     ``nodes`` has the :data:`NODE_COLUMNS`, one row per cell; ``edges`` has
     the :data:`EDGE_COLUMNS`, one row per transition, and is held ordered by
     source in node-table order (edge-table order within a source). Every
-    edge endpoint must be a node. ``topo`` holds each node's
-    :func:`scc_topo` number, in node-table order; like the successor and
-    predecessor rows, it is rebuilt from the tables, never stored.
+    edge endpoint must be a node. The successor and predecessor rows are
+    rebuilt from the tables, never stored.
     """
 
     def __init__(self, grid: HexGrid, nodes: pd.DataFrame, edges: pd.DataFrame):
@@ -245,7 +187,6 @@ class HabitModel:
         self._q: list[int] = q.tolist()
         self._r: list[int] = r.tolist()
         self._max_span = max(1, int(edges["gdist"].max()) if len(edges) else 1)
-        self.topo: list[int] = scc_topo(self._succ)
 
     def __reduce__(self):
         # Pickle (broadcast) the tables only; the arrays are rebuilt on load.
@@ -286,7 +227,7 @@ class HabitModel:
         t = self._index.get(e_node)
         if s is None or t is None:
             return None
-        rows = shortest_path_rows(self._succ, self._pred, self.topo, s, t)
+        rows = shortest_path_rows(self._succ, self._pred, s, t)
         if rows is None:
             return None
         succ, q, r = self._succ, self._q, self._r

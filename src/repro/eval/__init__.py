@@ -1,27 +1,1 @@
 """Evaluation harnesses: accuracy (DTW), latency, and the paper's tables."""
-from repro.eval.metrics import evaluate_gaps, summarize
-from repro.eval.tables import (
-    Lab,
-    fig3_projection,
-    fig5_accuracy,
-    fig7_gap_durations,
-    format_table,
-    table1,
-    table2,
-    table3,
-    table4,
-)
-
-__all__ = [
-    "evaluate_gaps",
-    "summarize",
-    "Lab",
-    "fig3_projection",
-    "fig5_accuracy",
-    "fig7_gap_durations",
-    "format_table",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-]

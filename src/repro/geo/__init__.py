@@ -1,26 +1,1 @@
 """Geodesy + trajectory-geometry substrate (haversine, densify, RDP, DTW)."""
-from repro.geo.dtw import dtw_m
-from repro.geo.geodesy import (
-    KNOT_MS,
-    angle_diff_deg,
-    destination_point,
-    haversine_m,
-    initial_bearing_deg,
-    local_xy,
-)
-from repro.geo.rdp import rdp
-from repro.geo.resample import densify, path_length_m, turn_stats
-
-__all__ = [
-    "KNOT_MS",
-    "angle_diff_deg",
-    "destination_point",
-    "haversine_m",
-    "initial_bearing_deg",
-    "local_xy",
-    "rdp",
-    "densify",
-    "path_length_m",
-    "turn_stats",
-    "dtw_m",
-]

@@ -1,8 +1,8 @@
 """Geodesy primitives: haversine distance, bearings, local projection.
 
 All functions are vectorized over numpy arrays; angles are degrees, distances
-meters. The Earth radius matches ``repro.hexgrid.R_EARTH`` so grid geometry
-and geodesy agree.
+meters. The Earth radius matches ``repro.hexgrid.hex.R_EARTH`` so grid
+geometry and geodesy agree.
 """
 from __future__ import annotations
 
@@ -29,16 +29,6 @@ def initial_bearing_deg(lon1, lat1, lon2, lat2) -> np.ndarray:
     x = np.sin(dlon) * np.cos(lat2)
     y = np.cos(lat1) * np.sin(lat2) - np.sin(lat1) * np.cos(lat2) * np.cos(dlon)
     return np.degrees(np.arctan2(x, y)) % 360.0
-
-
-def destination_point(lon, lat, bearing_deg, dist_m) -> tuple[np.ndarray, np.ndarray]:
-    """Point reached from (lon, lat) moving ``dist_m`` on ``bearing_deg``."""
-    lon, lat = np.radians(np.asarray(lon, dtype=np.float64)), np.radians(np.asarray(lat, dtype=np.float64))
-    brg = np.radians(np.asarray(bearing_deg, dtype=np.float64))
-    d = np.asarray(dist_m, dtype=np.float64) / R_EARTH
-    lat2 = np.arcsin(np.sin(lat) * np.cos(d) + np.cos(lat) * np.sin(d) * np.cos(brg))
-    lon2 = lon + np.arctan2(np.sin(brg) * np.sin(d) * np.cos(lat), np.cos(d) - np.sin(lat) * np.sin(lat2))
-    return np.degrees(lon2), np.degrees(lat2)
 
 
 def angle_diff_deg(a, b) -> np.ndarray:

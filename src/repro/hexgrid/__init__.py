@@ -1,12 +1,1 @@
 """Hexagonal grid substrate (offline H3 substitute). See ``hex.py``."""
-from repro.hexgrid.hex import EDGE_M, R_EARTH, HexGrid, cell_res, grid_distance, pack, unpack
-
-__all__ = [
-    "EDGE_M",
-    "R_EARTH",
-    "HexGrid",
-    "cell_res",
-    "grid_distance",
-    "pack",
-    "unpack",
-]

@@ -67,11 +67,6 @@ def unpack(cell):
     return res, q, r
 
 
-def cell_res(cell) -> np.ndarray:
-    """Resolution encoded in cell id(s)."""
-    return np.asarray(cell, dtype=np.int64) >> 58
-
-
 def grid_distance(a, b):
     """Hex hop distance between cell ids (vectorized; same resolution)."""
     ra, qa, sa = unpack(a)

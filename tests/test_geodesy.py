@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.geo.geodesy import (
     KNOT_MS,
     angle_diff_deg,
-    destination_point,
     haversine_m,
     initial_bearing_deg,
     local_xy,
@@ -76,23 +75,6 @@ def test_bearing_range():
         rng.uniform(-10, 10, 100),
     )
     assert ((b >= 0) & (b < 360)).all()
-
-
-# --- destination point -----------------------------------------------------
-
-@given(lon=lons, lat=st.floats(min_value=-70, max_value=70),
-       brg=st.floats(min_value=0, max_value=360),
-       dist=st.floats(min_value=1, max_value=200_000))
-@settings(max_examples=100, deadline=None)
-def test_destination_distance_consistency(lon, lat, brg, dist):
-    dlon, dlat = destination_point(lon, lat, brg, dist)
-    assert float(haversine_m(lon, lat, dlon, dlat)) == pytest.approx(dist, rel=1e-6)
-
-
-def test_destination_north():
-    dlon, dlat = destination_point(10.0, 55.0, 0.0, 111_195.0)
-    assert float(dlat) == pytest.approx(56.0, abs=1e-3)
-    assert float(dlon) == pytest.approx(10.0, abs=1e-6)
 
 
 # --- angle differences -----------------------------------------------------

@@ -159,7 +159,11 @@ def test_median_projection_beats_center_at_coarse_res(lab, kiel_gaps):
 
 
 def test_unfitted_facade_raises(kiel_gaps):
+    """An unfitted facade refuses queries; an unknown projection option is
+    refused at construction, not only by queries whose gap has a path."""
     h = Habit(res=9)
     g = kiel_gaps[0]
     with pytest.raises(AssertionError):
         h.impute(g.start_lon, g.start_lat, g.end_lon, g.end_lat)
+    with pytest.raises(ValueError, match="projection option 'x'"):
+        Habit(res=9, p="x")

@@ -13,7 +13,6 @@ from repro.hexgrid.hex import (
     HexGrid,
     _axial_round,
     _axial_round_scalar,
-    cell_res,
     grid_distance,
     pack,
     unpack,
@@ -48,16 +47,11 @@ def test_pack_out_of_range_raises():
         pack(9, 2**28, 0)
 
 
-def test_cell_res_matches_grid():
-    c = GRID.to_cell(11.5, 56.0)
-    assert int(cell_res(c)) == 9
-
-
 @pytest.mark.parametrize("res", [6, 7, 8, 9, 10])
 def test_resolutions_give_distinct_cells(res):
     g = HexGrid(res, 56.0, 11.5)
     c = g.to_cell(np.array([11.5]), np.array([56.0]))
-    assert int(cell_res(c[0])) == res
+    assert unpack(c[0])[0] == res
 
 
 # --- geometry --------------------------------------------------------------

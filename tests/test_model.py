@@ -337,7 +337,7 @@ def test_shortest_path_rows_are_the_nodes_on_shortest_paths(tables, data):
     g = _digraph(nodes, edges)
     cells = nodes["cl"].tolist()
     for s, t in _pairs(data, cells):
-        rows = shortest_path_rows(model._succ, model._pred, model.topo, cells.index(s), cells.index(t))
+        rows = shortest_path_rows(model._succ, model._pred, cells.index(s), cells.index(t))
         from_s = nx.single_source_shortest_path_length(g, s)
         to_t = nx.single_source_shortest_path_length(g.reverse(copy=False), t)
         if t not in from_s:
@@ -347,34 +347,12 @@ def test_shortest_path_rows_are_the_nodes_on_shortest_paths(tables, data):
         assert {cells[i] for i in rows} == want
 
 
-# --- reachability index -----------------------------------------------------
+# --- deep graphs and load ------------------------------------------------
 
-def _components(model: HabitModel) -> set[frozenset]:
-    """The model's node sets that share a component number."""
-    groups: dict[int, set] = {}
-    for cell, k in zip(model.nodes["cl"].tolist(), model.topo):
-        groups.setdefault(k, set()).add(cell)
-    return {frozenset(c) for c in groups.values()}
-
-
-@settings(max_examples=200, deadline=None)
-@given(TABLES)
-def test_topo_numbers_strongly_connected_components(tables):
-    """Nodes share a number exactly when NetworkX puts them in one strongly
-    connected component, and no edge leads to a lower number."""
-    nodes, edges = tables
-    model = HabitModel(grid=GRID, nodes=nodes, edges=edges)
-    g = _digraph(nodes, edges)
-    assert _components(model) == {frozenset(c) for c in nx.strongly_connected_components(g)}
-    number = dict(zip(model.nodes["cl"].tolist(), model.topo))
-    for u, v in g.edges:
-        assert number[u] <= number[v]
-
-
-def _deep_tables(n: int, *, cycle: bool):
+def _deep_tables(n: int, *, cycle: bool, start: int = 0):
     """A directed chain of ``n`` cells in a 400-cell-wide block of the grid,
-    closed into a cycle when ``cycle``."""
-    q, r = np.divmod(np.arange(n), 400)
+    from its ``start``-th cell on, closed into a cycle when ``cycle``."""
+    q, r = np.divmod(np.arange(start, start + n), 400)
     cells = pack(GRID.res, q, r)
     lon, lat = GRID.cell_center(cells)
     src, dst = cells[:-1], cells[1:]
@@ -384,29 +362,34 @@ def _deep_tables(n: int, *, cycle: bool):
 
 
 def test_deep_chain_and_cycle_build():
-    """The index is built and the paths are found without recursion: a
-    100,000-cell chain has one component per cell and a path through all
-    of them, a 100,000-cell cycle has one component and closes in one
-    hop."""
+    """Paths are found, and their absence decided, without recursion: a
+    100,000-cell chain has a path through all of its cells and none back; a
+    100,000-cell cycle closes in one hop; two such cycles joined by one edge
+    have no path against it, which the search settles only once one of the
+    two 100,000-cell balls is complete."""
     cells, nodes, edges = _deep_tables(100_000, cycle=False)
     model = HabitModel(grid=GRID, nodes=nodes, edges=edges)
-    assert len(set(model.topo)) == 100_000
     assert model.cell_path(cells[-1], cells[0]) is None
     assert model.cell_path(cells[0], cells[-1]) == cells
     cells, nodes, edges = _deep_tables(100_000, cycle=True)
     model = HabitModel(grid=GRID, nodes=nodes, edges=edges)
-    assert set(model.topo) == {0}
     assert model.cell_path(cells[-1], cells[0]) == [cells[-1], cells[0]]
+    other, other_nodes, other_edges = _deep_tables(100_000, cycle=True, start=100_000)
+    join = _edge_table([cells[-1]], [other[0]])
+    model = HabitModel(
+        grid=GRID, nodes=pd.concat([nodes, other_nodes]), edges=pd.concat([edges, other_edges, join])
+    )
+    assert model.cell_path(cells[-1], other[0]) == [cells[-1], other[0]]
+    assert model.cell_path(other[0], cells[-1]) is None
 
 
 def test_index_of_graphs_without_edges():
     empty = HabitModel(grid=GRID, nodes=pd.DataFrame(), edges=pd.DataFrame())
-    assert empty.topo == []
+    assert empty._succ == empty._pred == []
     cells = RING[:3]
     lon, lat = GRID.cell_center(np.asarray(cells, dtype=np.int64))
     model = HabitModel(grid=GRID, nodes=_node_table(cells, lon, lat), edges=pd.DataFrame())
-    assert sorted(model.topo) == [0, 1, 2]
-    assert model.cell_path(cells[1], cells[1]) == [cells[1]]  # a singleton component
+    assert model.cell_path(cells[1], cells[1]) == [cells[1]]
     assert model.cell_path(cells[0], cells[1]) is None
 
 
@@ -420,22 +403,20 @@ def _fork_tables():
 
 
 def test_index_is_rebuilt_on_load(tmp_path):
-    """The component numbers and the predecessor rows are derived again,
-    equal, from the held tables; the edges are given out of source order,
-    so predecessor rows taken from the input order would differ."""
+    """The predecessor rows are derived again, equal, from the held tables;
+    the edges are given out of source order, so predecessor rows taken from
+    the input order would differ."""
     nodes, edges = _fork_tables()
     model = HabitModel(GRID, nodes, edges.iloc[::-1])
-    assert len(set(model.topo)) == 5
     assert model._pred[1] == (0, 2)
     storage.save(model, tmp_path)
     for copy in (storage.load(tmp_path), pickle.loads(pickle.dumps(model))):
-        assert copy.topo == model.topo
         assert copy._pred == model._pred
 
 
 def test_index_is_not_stored():
     """Persistence and the broadcast payload carry the tables only, not
-    the component numbers or the successor and predecessor rows: the
+    the successor and predecessor rows: the
     parquet bytes are those of the two tables, and the pickle is as long
     as one of the class and its (grid, nodes, edges) arguments (the same
     opcodes, with REDUCE in place of the pair's TUPLE2)."""
@@ -483,15 +464,18 @@ def test_empty_model_save_load(tmp_path):
 
 def test_core_runtime_does_not_import_networkx():
     """NetworkX is a test oracle only: the fitted model and its storage
-    run without it."""
-    code = (
-        "import sys, repro.core.habit, repro.core.storage; "
-        "print('networkx' in sys.modules)"
-    )
+    run without it, and loading a saved model for queries does not pull in
+    PySpark either."""
     src = str(Path(repro.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=120, check=True,
-    )
-    assert out.stdout.strip() == "False"
+
+    def loaded(modules: str) -> str:
+        code = f"import sys, {modules}; print(sorted({{'networkx', 'pyspark'}} & sys.modules.keys()))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        return out.stdout.strip()
+
+    assert "networkx" not in loaded("repro.core.habit, repro.core.storage")
+    assert loaded("repro.core.model, repro.core.storage") == "[]"
