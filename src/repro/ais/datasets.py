@@ -18,9 +18,9 @@ Scenario structure mirrors the paper's Table 1 datasets (see DESIGN.md):
   short trips with patchier AIS coverage.
 
 ``sf`` scales the trip count (sf=1.0 is the bench scale recorded in
-EXPERIMENTS.md; the paper's absolute sizes are larger). Builders are
-deterministic in ``seed`` and cached — callers must not mutate the returned
-frames.
+EXPERIMENTS.md; the paper's absolute sizes are larger). Each builder draws
+from its own fixed seed, so a frame depends on ``sf`` alone; ``dataset``
+caches them — callers must not mutate the returned frames.
 """
 from __future__ import annotations
 
@@ -85,9 +85,9 @@ def _vessel_trip(
     return parts, t
 
 
-def build_kiel(sf: float = 1.0, seed: int = 7) -> pd.DataFrame:
+def build_kiel(sf: float = 1.0) -> pd.DataFrame:
     """KIEL scenario: 2 passenger ships, one fixed route, both directions."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     n_trips = max(4, round(86 * sf))
     vessels = [
         VesselSpec("KIEL-01", "Passenger", 18.0, 60.0),
@@ -119,9 +119,9 @@ def build_kiel(sf: float = 1.0, seed: int = 7) -> pd.DataFrame:
     return _finish(parts)
 
 
-def build_dan(sf: float = 1.0, seed: int = 11) -> pd.DataFrame:
+def build_dan(sf: float = 1.0) -> pd.DataFrame:
     """DAN scenario: 16 passenger ships over many routes between 10 ports."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     n_trips = max(8, round(320 * sf))
     vessels = [
         VesselSpec(f"DAN-{i:02d}", "Passenger", float(rng.uniform(15, 20)), 60.0)
@@ -151,9 +151,9 @@ def build_dan(sf: float = 1.0, seed: int = 11) -> pd.DataFrame:
     return _finish(parts)
 
 
-def build_sar(sf: float = 1.0, seed: int = 13) -> pd.DataFrame:
+def build_sar(sf: float = 1.0) -> pd.DataFrame:
     """SAR scenario: mixed fleet, short trips, patchy coverage, one month."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(13)
     n_trips = max(20, round(1200 * sf))
     fleet: list[VesselSpec] = []
     for i in range(30):
@@ -199,10 +199,9 @@ REGION_OF = {"KIEL": KIEL_REGION, "DAN": DAN_REGION, "SAR": SAR_REGION}
 
 
 @lru_cache(maxsize=16)
-def dataset(name: str, sf: float = 1.0, seed: int | None = None) -> pd.DataFrame:
+def dataset(name: str, sf: float = 1.0) -> pd.DataFrame:
     """Cached dataset by name ('DAN' | 'KIEL' | 'SAR'). Do not mutate."""
-    builder = _BUILDERS[name]
-    return builder(sf) if seed is None else builder(sf, seed)
+    return _BUILDERS[name](sf)
 
 
 def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:

@@ -22,6 +22,15 @@ from repro.hexgrid.hex import R_EARTH
 
 _DEG_M = R_EARTH * np.pi / 180.0  # meters per degree of latitude
 
+#: Standard deviation of a trip's AR(1) cross-track offset from its lane (m).
+XTRACK_SIGMA_M = 120.0
+#: Standard deviation of the GPS noise on each report (m).
+GPS_SIGMA_M = 12.0
+#: Coefficient of variation of a trip's AR(1) speed variation.
+SPEED_CV = 0.08
+#: Nominal AIS reporting interval at a port stop (s).
+PORT_REPORT_S = 180.0
+
 
 @dataclass(frozen=True)
 class VesselSpec:
@@ -51,9 +60,6 @@ def simulate_trip(
     *,
     lon0: float,
     lat0: float,
-    xtrack_sigma_m: float = 120.0,
-    gps_sigma_m: float = 12.0,
-    speed_cv: float = 0.08,
 ) -> pd.DataFrame:
     """Simulate one trip along ``waypoints`` (array of [lon, lat] rows).
 
@@ -74,7 +80,7 @@ def simulate_trip(
     v_mean = vessel.speed_kn * KNOT_MS
     n_max = int(total / v_mean / (vessel.report_s * 0.8)) + 8
     dt = vessel.report_s * rng.uniform(0.8, 1.2, n_max)
-    v = v_mean * (1.0 + np.clip(_ar1(rng, n_max, 0.95, speed_cv), -0.6, 0.6))
+    v = v_mean * (1.0 + np.clip(_ar1(rng, n_max, 0.95, SPEED_CV), -0.6, 0.6))
     dist = np.cumsum(v * dt)
     keep = dist < total
     dist, v, dt = dist[keep], v[keep], dt[keep]
@@ -89,9 +95,9 @@ def simulate_trip(
     seg_idx = np.clip(np.searchsorted(cum, dist, side="right") - 1, 0, seg.size - 1)
     hx = np.diff(x)[seg_idx] / np.maximum(seg[seg_idx], 1e-9)
     hy = np.diff(y)[seg_idx] / np.maximum(seg[seg_idx], 1e-9)
-    off = _ar1(rng, n, 0.98, xtrack_sigma_m)
-    px = px - hy * off + rng.normal(0.0, gps_sigma_m, n)
-    py = py + hx * off + rng.normal(0.0, gps_sigma_m, n)
+    off = _ar1(rng, n, 0.98, XTRACK_SIGMA_M)
+    px = px - hy * off + rng.normal(0.0, GPS_SIGMA_M, n)
+    py = py + hx * off + rng.normal(0.0, GPS_SIGMA_M, n)
 
     lon = lon0 + px / (_DEG_M * np.cos(np.radians(lat0)))
     lat = lat0 + py / _DEG_M
@@ -111,11 +117,10 @@ def port_stop(
     t0: pd.Timestamp,
     *,
     duration_min: float,
-    report_s: float = 180.0,
 ) -> pd.DataFrame:
     """Stationary AIS reports at a port: SOG < 0.5 kn, tiny positional drift."""
-    n = max(2, int(duration_min * 60.0 / report_s))
-    dt = np.cumsum(rng.uniform(0.8, 1.2, n) * report_s)
+    n = max(2, int(duration_min * 60.0 / PORT_REPORT_S))
+    dt = np.cumsum(rng.uniform(0.8, 1.2, n) * PORT_REPORT_S)
     drift = rng.normal(0.0, 8.0, (n, 2)) / _DEG_M
     return pd.DataFrame(
         {

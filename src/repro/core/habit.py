@@ -21,7 +21,7 @@ from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.graphgen import aggregate
-from repro.core.model import HabitModel, ImputedPath
+from repro.core.model import HabitModel, ImputedPath, check_projection
 from repro.core.simplify import simplify_path
 from repro.core.storage import storage_bytes
 from repro.geo.geodesy import haversine_m
@@ -75,8 +75,7 @@ class Habit:
     """The configurable HABIT framework (parameters r, p, t of the paper)."""
 
     def __init__(self, *, res: int, p: str = "w", t: float = 100.0):
-        if p not in ("c", "w"):
-            raise ValueError(f"unknown projection option {p!r} (use 'c' or 'w')")
+        check_projection(p)
         self.res = res
         self.p = p
         self.t = t

@@ -6,12 +6,12 @@ parameters and answers imputation queries:
 1. project gap endpoints to hex cells; if a cell is not a graph node,
    nearest-neighbor snap to the closest node (by projected distance to the
    nodes' median positions);
-2. A* over the transition graph, minimizing the number of transitions, with
-   the hex grid distance as heuristic (scaled by the maximum edge span so it
-   stays admissible even for transitions that skip cells). It searches only
-   the nodes that lie on some shortest path, which a bidirectional
-   breadth-first search finds first; that search also decides whether any
-   path exists;
+2. the paper's A* path, minimizing the number of transitions: a
+   bidirectional breadth-first search finds the nodes that lie on some
+   shortest path, with their distance from the start, and decides whether
+   any path exists; on those nodes the A* reduces to a walk one distance
+   level at a time, each level taken in order of hex distance to the
+   target;
 3. inverse projection of the cell path to coordinates — parameter
    ``p='c'`` uses geometric cell centers, ``p='w'`` the data-driven per-cell
    median position (the paper's information-loss mitigation, Figure 2);
@@ -27,7 +27,6 @@ Queries run on plain Python numbers, one point or one path at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 import pandas as pd
@@ -60,11 +59,11 @@ def csr(n: int, src, dst) -> tuple[np.ndarray, np.ndarray]:
 
 def shortest_path_rows(
     succ: list[tuple[int, ...]], pred: list[tuple[int, ...]], s: int, t: int
-) -> set[int] | None:
+) -> dict[int, int] | None:
     """The nodes that lie on some shortest path from ``s`` to ``t``, counting
-    one per edge, in the graph whose node ``u`` has the successors
-    ``succ[u]`` and the predecessors ``pred[u]``; None when no path leads
-    from ``s`` to ``t``.
+    one per edge, each mapped to its distance from ``s``, in the graph whose
+    node ``u`` has the successors ``succ[u]`` and the predecessors
+    ``pred[u]``; None when no path leads from ``s`` to ``t``.
 
     A bidirectional breadth-first search (Pohl, Machine Intelligence 6,
     1971): each round expands one full level of the smaller frontier, the
@@ -76,11 +75,13 @@ def shortest_path_rows(
     being the shortest distance, and the full level holds every node of a
     shortest path at its depth. The walks from them back to ``s`` through
     nodes one forward level nearer, and on to ``t`` through nodes one
-    backward level nearer, collect the rest. The state grows with the nodes
+    backward level nearer, collect the rest: a node on the way to ``s``
+    keeps its forward distance, and a node on the way to ``t`` lies ``D``
+    minus its backward distance from ``s``. The state grows with the nodes
     visited, not with the graph.
     """
     if s == t:
-        return {s}
+        return {s: 0}
     fronts = [[s], [t]]  # forward, backward
     dists = ({s: 0}, {t: 0})  # hops from s, hops to t
     adjs = (succ, pred)
@@ -101,17 +102,19 @@ def shortest_path_rows(
         if not grown:  # one ball is complete without meeting the other
             return None
         fronts[side] = grown
-    rows = set(met)
-    for adj, dist in ((pred, dists[0]), (succ, dists[1])):
+    fwd, bwd = dists
+    depth = fwd[met[0]] + bwd[met[0]]
+    level = {v: fwd[v] for v in met}
+    for adj, dist, sign, offset in ((pred, fwd, 1, 0), (succ, bwd, -1, depth)):
         stack = list(met)
         while stack:
             u = stack.pop()
             d = dist[u] - 1
             for v in adj[u]:
-                if dist.get(v) == d and v not in rows:
-                    rows.add(v)
+                if dist.get(v) == d and v not in level:
+                    level[v] = offset + sign * d
                     stack.append(v)
-    return rows
+    return level
 
 
 def _adjacency(indptr: np.ndarray, nbr: np.ndarray) -> list[tuple[int, ...]]:
@@ -138,6 +141,13 @@ class ImputedPath:
     fallback: bool  # True when the graph gave no path and SLI was used
 
 
+def check_projection(p: str) -> None:
+    """Raise ``ValueError`` unless ``p`` names an inverse projection: 'c'
+    (geometric cell centers) or 'w' (per-cell median positions)."""
+    if p not in ("c", "w"):
+        raise ValueError(f"unknown projection option {p!r} (use 'c' or 'w')")
+
+
 def straight_line(
     start_lon: float, start_lat: float, end_lon: float, end_lat: float, *, fallback: bool
 ) -> ImputedPath:
@@ -154,9 +164,10 @@ class HabitModel:
 
     ``nodes`` has the :data:`NODE_COLUMNS`, one row per cell; ``edges`` has
     the :data:`EDGE_COLUMNS`, one row per transition, and is held ordered by
-    source in node-table order (edge-table order within a source). Every
-    edge endpoint must be a node. The successor and predecessor rows are
-    rebuilt from the tables, never stored.
+    source in node-table order (edge-table order within a source), the
+    order in which the path search tries successors. Every edge endpoint
+    must be a node. The successor and predecessor rows are rebuilt from the
+    tables, never stored; the search does not read ``gdist``.
     """
 
     def __init__(self, grid: HexGrid, nodes: pd.DataFrame, edges: pd.DataFrame):
@@ -186,7 +197,6 @@ class HabitModel:
         _, q, r = unpack(cells)
         self._q: list[int] = q.tolist()
         self._r: list[int] = r.tolist()
-        self._max_span = max(1, int(edges["gdist"].max()) if len(edges) else 1)
 
     def __reduce__(self):
         # Pickle (broadcast) the tables only; the arrays are rebuilt on load.
@@ -207,77 +217,55 @@ class HabitModel:
         return self._cells[i]
 
     def cell_path(self, s_node: int, e_node: int) -> list[int] | None:
-        """Minimum-transition cell sequence from ``s_node`` to ``e_node``.
+        """Minimum-transition cell sequence from ``s_node`` to ``e_node``;
+        None when no directed path exists.
 
-        A* with unit edge cost; heuristic = hex distance / max edge span
-        (admissible: every transition covers at most ``max_span`` hops).
-        Returns None when no directed path exists. Queue order, tie-breaks
-        and re-opening follow ``networkx.astar_path``, and although the
-        search enters only the rows :func:`shortest_path_rows` returns, both
-        return the same path. The heuristic changes by at most 1 per edge,
-        so every row pops first at its shortest distance, with the
-        earliest-popped predecessor one hop nearer the start as its parent;
-        for a row on a shortest path, every such predecessor is on one too.
-        Rows off every shortest path push such a row only at a longer
-        distance, which never pops first, and the push counter keeps the
-        other pushes in order. So the pops, parents and ties of the rows on
-        shortest paths, and with them the path, are unchanged.
+        A walk over the rows :func:`shortest_path_rows` returns, one level
+        (distance from the start) at a time. Each row of the next level is
+        reached from the first row of the current level that has it as a
+        successor, in held edge order; the current level is ordered by hex
+        distance to the target, equal distances keeping the order in which
+        their rows were reached. The path is the one ``networkx.astar_path``
+        returns with unit edge cost and the hex distance divided by the
+        longest transition's span as heuristic: that heuristic changes by at
+        most 1 per edge, so the A* pops a level's rows in this order, and
+        each row's parent is its first-popped predecessor one level nearer.
         """
         s = self._index.get(s_node)
         t = self._index.get(e_node)
         if s is None or t is None:
             return None
-        rows = shortest_path_rows(self._succ, self._pred, s, t)
-        if rows is None:
+        level = shortest_path_rows(self._succ, self._pred, s, t)
+        if level is None:
             return None
         succ, q, r = self._succ, self._q, self._r
-        span = float(self._max_span)
         tq, tr = q[t], r[t]
-        heur = {}  # row -> heuristic, for the rows on a shortest path only
-        for v in rows:
+
+        def to_target(v: int) -> int:
             dq = q[v] - tq
             dr = r[v] - tr
-            heur[v] = ((abs(dq) + abs(dr) + abs(dq + dr)) // 2) / span
-        # Per-row search state: the cost each row was last queued at, and
-        # its parent once expanded (None: the source).
-        cost: dict[int, float] = {}
-        parent_of: dict[int, int | None] = {}
-        c = 0  # push counter: equal f values pop first-in first-out
-        queue = [(0, c, s, 0, None)]
-        while queue:
-            _, __, cur, dist, parent = heappop(queue)
-            if cur == t:
-                path = [cur]
-                node = parent
-                while node is not None:
-                    path.append(node)
-                    node = parent_of[node]
-                return [self._cells[i] for i in reversed(path)]
-            if cur in parent_of:
-                if parent_of[cur] is None:  # the source: never re-parented
-                    continue
-                if cost[cur] < dist:  # stale entry: a cheaper one exists
-                    continue
-            parent_of[cur] = parent
-            ncost = dist + 1.0
-            for v in succ[cur]:
-                h = heur.get(v)
-                if h is None:  # v lies on no shortest path
-                    continue
-                queued = cost.get(v)
-                if queued is not None and queued <= ncost:
-                    continue
-                cost[v] = ncost
-                c += 1
-                heappush(queue, (ncost + h, c, v, ncost, cur))
-        return None
+            return (abs(dq) + abs(dr) + abs(dq + dr)) // 2
+
+        parent: dict[int, int | None] = {s: None}
+        order = [s]
+        for d in range(1, level[t] + 1):
+            reached = []
+            for u in order:
+                for v in succ[u]:
+                    if level.get(v) == d and v not in parent:
+                        parent[v] = u
+                        reached.append(v)
+            order = sorted(reached, key=to_target)  # stable: ties keep reach order
+        path = [t]
+        while (u := parent[path[-1]]) is not None:
+            path.append(u)
+        return [self._cells[i] for i in reversed(path)]
 
     def project_cells(self, cells: list[int], p: str = "w") -> tuple[np.ndarray, np.ndarray]:
         """Inverse projection of a cell sequence to lon/lat (§3.3, Fig. 2)."""
+        check_projection(p)
         if p == "c":
             return self.grid.cell_center(np.asarray(cells, dtype=np.int64))
-        if p != "w":
-            raise ValueError(f"unknown projection option {p!r} (use 'c' or 'w')")
         rows = np.fromiter(map(self._index.__getitem__, cells), dtype=np.intp, count=len(cells))
         return self._mlon.take(rows), self._mlat.take(rows)
 
@@ -291,7 +279,10 @@ class HabitModel:
         p: str = "w",
     ) -> ImputedPath:
         """Impute the gap between two endpoints; simplification is separate
-        (:mod:`repro.core.simplify`), matching the paper's phase split."""
+        (:mod:`repro.core.simplify`), matching the paper's phase split.
+        Raises ``ValueError`` for an unknown ``p``, whether or not the gap
+        has a path."""
+        check_projection(p)
         s_node = self.snap(start_lon, start_lat)
         e_node = self.snap(end_lon, end_lat)
         cells = self.cell_path(s_node, e_node)

@@ -1,8 +1,8 @@
 """Hexagonal grid index — offline substitute for Uber's H3.
 
-The paper indexes AIS positions on H3 hexagons at resolutions 6–10 and uses
-exactly four H3 operations: point -> cell, cell -> center, grid (hex hop)
-distance, and adjacency. ``h3`` is not installable in this container, so this
+The paper indexes AIS positions on H3 hexagons at resolutions 6–10. The
+pipeline uses three H3 operations: point -> cell, cell -> center and grid
+(hex hop) distance. ``h3`` is not installable in this container, so this
 module provides a pointy-top axial hexagonal tessellation over a *local
 equirectangular projection* with per-resolution edge lengths equal to H3's
 published mean hexagon edge length. For the regional extents the paper
@@ -109,10 +109,6 @@ def _axial_round_scalar(qf: float, rf: float) -> tuple[int, int]:
     return q, r
 
 
-#: Axial offsets of the 6 neighbors of any hexagon (pointy-top).
-NEIGHBOR_OFFSETS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
-
-
 @dataclass(frozen=True)
 class HexGrid:
     """A hexagonal tessellation at H3-equivalent resolution ``res``.
@@ -184,11 +180,16 @@ class HexGrid:
         return (self.res << 58) | ((q + QR_BIAS) << 29) | (r + QR_BIAS), x, y
 
     def to_cell(self, lon, lat) -> np.ndarray:
-        """Assign point(s) to their containing hexagon; returns int64 ids."""
+        """Assign point(s) to their containing hexagon; returns int64 ids.
+
+        Raises ``ValueError`` for a non-finite coordinate.
+        """
         x, y = self.project(lon, lat)
         a = self.edge_m
         qf = (_SQRT3 / 3.0 * x - y / 3.0) / a
         rf = (2.0 / 3.0 * y) / a
+        if not (np.isfinite(qf).all() and np.isfinite(rf).all()):
+            raise ValueError("non-finite coordinate")
         q, r = _axial_round(qf, rf)
         return pack(self.res, q, r)
 
@@ -199,18 +200,3 @@ class HexGrid:
         x = a * _SQRT3 * (q + r / 2.0)
         y = a * 1.5 * r
         return self.unproject(x, y)
-
-    def neighbors(self, cell: int) -> list[int]:
-        """The 6 adjacent cell ids of a single cell."""
-        _, q, r = unpack(cell)
-        return [int(pack(self.res, int(q) + dq, int(r) + dr)) for dq, dr in NEIGHBOR_OFFSETS]
-
-    def k_ring(self, cell: int, k: int) -> list[int]:
-        """All cell ids within hex distance ``k`` of ``cell`` (incl. itself)."""
-        _, q0, r0 = unpack(cell)
-        q0, r0 = int(q0), int(r0)
-        out = []
-        for dq in range(-k, k + 1):
-            for dr in range(max(-k, -dq - k), min(k, -dq + k) + 1):
-                out.append(int(pack(self.res, q0 + dq, r0 + dr)))
-        return out

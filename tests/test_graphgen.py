@@ -21,7 +21,7 @@ from repro.core.graphgen import (
 )
 from repro.core.model import EDGE_COLUMNS, NODE_COLUMNS, HabitModel
 from repro.hexgrid.hex import HexGrid, grid_distance
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")

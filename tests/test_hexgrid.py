@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.geo.geodesy import haversine_m
 from repro.hexgrid.hex import (
     EDGE_M,
-    NEIGHBOR_OFFSETS,
     HexGrid,
     _axial_round,
     _axial_round_scalar,
@@ -17,6 +16,7 @@ from repro.hexgrid.hex import (
     pack,
     unpack,
 )
+from tests.hexring import k_ring
 
 GRID = HexGrid(9, 56.0, 11.5)
 
@@ -167,6 +167,18 @@ def test_pickle_keeps_parameters_only():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_to_cell_rejects_non_finite(bad):
+    """A non-finite coordinate raises instead of giving an id that looks
+    valid, alone or among finite points."""
+    g = HexGrid(9, 37.7, 23.5)
+    for lon, lat in ((bad, 37.9), (23.5, bad)):
+        with pytest.raises(ValueError, match="non-finite"):
+            g.to_cell(lon, lat)
+        with pytest.raises(ValueError, match="non-finite"):
+            g.to_cell(np.array([23.5, lon]), np.array([37.9, lat]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_locate_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="non-finite"):
         GRID.locate(bad, 56.0)
@@ -200,7 +212,9 @@ def test_grid_distance_triangle_inequality(lon1, lat1, lon2, lat2, lon3, lat3):
 
 def test_grid_distance_neighbors_is_one():
     c = int(GRID.to_cell(11.5, 56.0))
-    for n in GRID.neighbors(c):
+    neighbors = [n for n in k_ring(GRID, c, 1) if n != c]
+    assert len(neighbors) == 6
+    for n in neighbors:
         assert int(grid_distance(c, n)) == 1
 
 
@@ -216,41 +230,28 @@ def test_grid_distance_tracks_metric_distance():
 
 # --- neighborhoods ---------------------------------------------------------
 
-def test_neighbors_count_and_uniqueness():
-    c = int(GRID.to_cell(11.5, 56.0))
-    nbrs = GRID.neighbors(c)
-    assert len(nbrs) == 6
-    assert len(set(nbrs)) == 6
-    assert c not in nbrs
-
-
-def test_neighbor_offsets_sum_to_zero():
-    assert sum(dq for dq, _ in NEIGHBOR_OFFSETS) == 0
-    assert sum(dr for _, dr in NEIGHBOR_OFFSETS) == 0
-
-
 @pytest.mark.parametrize("k,expected", [(0, 1), (1, 7), (2, 19), (3, 37)])
 def test_k_ring_size(k, expected):
     """|k_ring| = 1 + 3k(k+1)."""
     c = int(GRID.to_cell(11.5, 56.0))
-    ring = GRID.k_ring(c, k)
+    ring = k_ring(GRID, c, k)
     assert len(ring) == expected
     assert len(set(ring)) == expected
 
 
 def test_k_ring_distances_bounded():
     c = int(GRID.to_cell(11.5, 56.0))
-    for cell in GRID.k_ring(c, 3):
+    for cell in k_ring(GRID, c, 3):
         assert int(grid_distance(c, cell)) <= 3
 
 
 def test_k_ring_contains_all_cells_within_k():
     c = int(GRID.to_cell(11.5, 56.0))
-    ring2 = set(GRID.k_ring(c, 2))
-    for n in GRID.neighbors(c):
-        assert n in ring2
-        for nn in GRID.neighbors(n):
-            assert nn in ring2
+    _, q, r = unpack(c)
+    dq, dr = np.meshgrid(np.arange(-4, 5), np.arange(-4, 5))
+    box = pack(GRID.res, q + dq.ravel(), r + dr.ravel())
+    within = box[grid_distance(c, box) <= 2]
+    assert set(k_ring(GRID, c, 2)) == set(within.tolist())
 
 
 # --- tessellation ----------------------------------------------------------

@@ -2,6 +2,7 @@
 on small hand-built node/edge tables, with NetworkX as the search oracle."""
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ import repro
 from repro.core import storage
 from repro.core.model import HabitModel, csr, shortest_path_rows
 from repro.hexgrid.hex import HexGrid, grid_distance, pack
+from tests.hexring import k_ring
 
 GRID = HexGrid(8, 56.0, 11.5)
 
@@ -175,6 +177,17 @@ def test_project_cells_bad_option(chain_model):
         model.project_cells(cells[:2], p="x")
 
 
+def test_impute_bad_option_raises_without_a_path():
+    """An unknown ``p`` is refused before the search: a gap with no path
+    raises too, rather than getting the straight line."""
+    cells = RING[:2]
+    lon, lat = GRID.cell_center(np.asarray(cells, dtype=np.int64))
+    model = HabitModel(grid=GRID, nodes=_node_table(cells, lon, lat), edges=pd.DataFrame())
+    assert model.impute(lon[0], lat[0], lon[1], lat[1]).fallback
+    with pytest.raises(ValueError, match="projection option 'x'"):
+        model.impute(lon[0], lat[0], lon[1], lat[1], p="x")
+
+
 def test_median_projection_differs_from_center(chain_model):
     cells, model = chain_model
     wlon, _ = model.project_cells(cells, p="w")
@@ -223,7 +236,7 @@ def test_properties(chain_model):
 #: Real cells of the grid: a hex disc of radius 3 (37 cells), so random edges
 #: span 1 to 6 hex hops and the heuristic's max-span scaling varies, while
 #: enough nodes tie on f = g + h for the successor order to matter.
-RING = GRID.k_ring(int(GRID.to_cell(11.5, 56.0)), 3)
+RING = k_ring(GRID, int(GRID.to_cell(11.5, 56.0)), 3)
 
 
 @st.composite
@@ -260,7 +273,7 @@ def _sparse_tables(draw):
 def _disc(k: int) -> tuple[list[int], list[tuple[int, int]]]:
     """The cells of a hex disc of radius ``k`` and its directed 6-neighbour
     edges."""
-    cells = np.asarray(GRID.k_ring(int(GRID.to_cell(11.5, 56.0)), k), dtype=np.int64)
+    cells = np.asarray(k_ring(GRID, int(GRID.to_cell(11.5, 56.0)), k), dtype=np.int64)
     a, b = np.nonzero(grid_distance(cells[:, None], cells[None, :]) == 1)
     return cells.tolist(), list(zip(cells[a].tolist(), cells[b].tolist()))
 
@@ -331,7 +344,8 @@ def test_cell_path_equals_networkx_astar(tables, data):
 @given(TABLES, st.data())
 def test_shortest_path_rows_are_the_nodes_on_shortest_paths(tables, data):
     """The rows the search is confined to are exactly the nodes ``v`` with
-    d(s, v) + d(v, t) = d(s, t), and None exactly when t is unreachable."""
+    d(s, v) + d(v, t) = d(s, t), each mapped to d(s, v), and None exactly
+    when t is unreachable."""
     nodes, edges = tables
     model = HabitModel(grid=GRID, nodes=nodes, edges=edges)
     g = _digraph(nodes, edges)
@@ -345,6 +359,8 @@ def test_shortest_path_rows_are_the_nodes_on_shortest_paths(tables, data):
             continue
         want = {v for v in from_s.keys() & to_t.keys() if from_s[v] + to_t[v] == from_s[t]}
         assert {cells[i] for i in rows} == want
+        for i, d in rows.items():
+            assert d == nx.shortest_path_length(g, s, cells[i])
 
 
 # --- deep graphs and load ------------------------------------------------
@@ -463,14 +479,16 @@ def test_empty_model_save_load(tmp_path):
 
 
 def test_core_runtime_does_not_import_networkx():
-    """NetworkX is a test oracle only: the fitted model and its storage
-    run without it, and loading a saved model for queries does not pull in
-    PySpark either."""
+    """NetworkX and DuckDB are test oracles only: the fitted model and its
+    storage run without NetworkX, no ``repro`` module loads either of them,
+    and loading a saved model for queries does not pull in PySpark
+    either."""
     src = str(Path(repro.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
     def loaded(modules: str) -> str:
-        code = f"import sys, {modules}; print(sorted({{'networkx', 'pyspark'}} & sys.modules.keys()))"
+        oracles = "{'networkx', 'duckdb', 'pyspark'}"
+        code = f"import sys, {modules}; print(sorted({oracles} & sys.modules.keys()))"
         out = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
             capture_output=True, text=True, timeout=120, check=True,
@@ -479,3 +497,6 @@ def test_core_runtime_does_not_import_networkx():
 
     assert "networkx" not in loaded("repro.core.habit, repro.core.storage")
     assert loaded("repro.core.model, repro.core.storage") == "[]"
+    every = [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
+    assert "repro.core.model" in every
+    assert loaded(", ".join(every)) == "['pyspark']"

@@ -3,7 +3,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 
 
 @pytest.fixture()

@@ -20,11 +20,9 @@ VESSEL = VesselSpec("T-01", "Passenger", 18.0, 60.0)
 T0 = pd.Timestamp("2024-01-05 08:00:00")
 
 
-def _trip(seed=0, **kw):
+def _trip(seed=0):
     rng = np.random.default_rng(seed)
-    return simulate_trip(
-        rng, WP, VESSEL, T0, lon0=KIEL_REGION.lon0, lat0=KIEL_REGION.lat0, **kw
-    )
+    return simulate_trip(rng, WP, VESSEL, T0, lon0=KIEL_REGION.lon0, lat0=KIEL_REGION.lat0)
 
 
 def test_trip_schema_and_order():
